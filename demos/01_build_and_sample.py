@@ -43,11 +43,11 @@ print(f"model's maximum expected degree: {rho:.1f}")
 a = hs.adjacency_matrix(h)
 print(f"adjacency: {a.nnz} nonzero entries, max pair count {a.max()}")
 
-# a degree profile splits one vertex's edges by the type of the other members
-prof = hs.degree_profile(h, 0, truth, k=2)
-print(f"\nvertex 0 (community {truth[0]}), degree {prof.total}:")
+# type counts split each vertex's edges by the type of the other members
+type_counts = hs.edge_type_count_matrix(h, truth, 2)
+print(f"\nvertex 0 (community {truth[0]}), degree {degrees[0]}:")
 for m in h.orders:
-    for w, c in zip(hs.weak_compositions(m - 1, 2), prof.counts[m]):
+    for w, c in zip(hs.weak_compositions(m - 1, 2), type_counts[m][0]):
         if c:
             print(f"  {c} order-{m} edges whose other members realize {w}")
 

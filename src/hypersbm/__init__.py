@@ -40,11 +40,9 @@ from .harness import (
     run_trial,
 )
 from .model import (
-    DegreeProfile,
     Hypergraph,
     ProbabilityTensors,
     adjacency_matrix,
-    degree_profile,
     expected_adjacency,
     expected_degrees_by_community,
     make_hypergraph,
@@ -70,7 +68,7 @@ from .refinement import (
     EstimatedTensors,
     Split,
     agnostic_refine,
-    edge_type_counts,
+    edge_type_count_matrix,
     estimate_tensors,
     map_correct,
     refine_step,

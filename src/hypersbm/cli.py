@@ -13,13 +13,11 @@ import sys
 import numpy as np
 
 from .divergence import chernoff_hellinger, classify_regime
-from .harness import emit_csv, grid_points, phase_sweep, read_config
+from .harness import emit_csv, grid_points, phase_sweep, read_config, sample_instance
 from .model import (
     ProbabilityTensors,
     read_hypergraph,
     read_membership,
-    sample_hypergraph,
-    sample_membership,
     write_hypergraph,
     write_membership,
 )
@@ -57,11 +55,8 @@ def _cmd_sample(args) -> int:
     if not 0 <= args.point < len(points):
         print(f"point index {args.point} out of range (grid has {len(points)})")
         return 2
-    point = points[args.point]
     seed = config.seed if args.seed is None else args.seed
-    tensors = ProbabilityTensors.from_unscaled(config.k, point.coefficients, point.n)
-    truth = sample_membership(point.n, config.alpha, seed=[seed, 11])
-    h = sample_hypergraph(point.n, truth, tensors, seed=[seed, 12])
+    _, truth, h = sample_instance(config, points[args.point], seed)
     write_hypergraph(h, args.out)
     sizes = ", ".join(f"m={m}: {h.num_edges(m)}" for m in h.orders)
     print(f"wrote {args.out}: n={h.n}, edges {sizes}")
@@ -125,7 +120,6 @@ def _cmd_phase(args) -> int:
         return 2
     records, summaries = phase_sweep(config, workers=args.workers)
     emit_csv(records, out)
-    expected = len(summaries) * config.trials
     print(f"wrote {out}: {len(records)} trials over {len(summaries)} points")
     print("point_id,n,sweep_value,success_rate")
     for s in summaries:
@@ -134,7 +128,7 @@ def _cmd_phase(args) -> int:
     errors = sum(1 for r in records if r.error)
     if errors:
         print(f"note: {errors} trials recorded errors")
-    return 0 if len(records) == expected else 1
+    return 1 if errors else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,7 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"hypersbm: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

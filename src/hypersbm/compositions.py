@@ -56,6 +56,26 @@ def add_member(w: tuple, label: int) -> tuple:
     return w[:label] + (w[label] + 1,) + w[label + 1:]
 
 
+def composition_rank(counts, m: int) -> np.ndarray:
+    """Canonical index of each row of per-community counts summing to m.
+
+    Stars and bars: the compositions ahead of w in lex-descending order are
+    those that agree with w on parts 0..l-1 and exceed it on part l, and
+    there are C(r_l - w_l - 1 + k - l - 1, k - l - 1) of them, where r_l is
+    the part of m still left to place at l.  Vectorised over leading axes.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    k = counts.shape[-1]
+    table = np.array([[comb(a, b) for b in range(k)] for a in range(m + k - 1)],
+                     dtype=np.int64)
+    rank = np.zeros(counts.shape[:-1], dtype=np.int64)
+    left = np.full(counts.shape[:-1], m, dtype=np.int64)
+    for l in range(k - 1):
+        rank += table[left - counts[..., l] + k - l - 2, k - l - 1]
+        left -= counts[..., l]
+    return rank
+
+
 @lru_cache(maxsize=None)
 def member_lift_table(m: int, k: int) -> np.ndarray:
     """Index table lifting order-(m-1) types to order-m types.
@@ -64,12 +84,18 @@ def member_lift_table(m: int, k: int) -> np.ndarray:
     of add_member(w_i, label), where w_i is the i-th composition of m-1.
     Precomputed so per-vertex likelihood sums reduce to array gathers.
     """
-    lower = weak_compositions(m - 1, k)
-    upper = composition_index(m, k)
-    table = np.empty((k, len(lower)), dtype=np.int64)
-    for label in range(k):
-        for i, w in enumerate(lower):
-            table[label, i] = upper[add_member(w, label)]
+    lower = np.array(weak_compositions(m - 1, k), dtype=np.int64)
+    return composition_rank(lower[None, :, :] + np.eye(k, dtype=np.int64)[:, None, :], m)
+
+
+@lru_cache(maxsize=None)
+def member_drop_table(m: int, k: int) -> np.ndarray:
+    """Inverse of member_lift_table: entry [i, label] is the canonical index
+    of the order-(m-1) type left when one member of community ``label``
+    leaves the i-th composition of m (-1 where that part is zero)."""
+    lift = member_lift_table(m, k)
+    table = np.full((num_weak_compositions(m, k), k), -1, dtype=np.int64)
+    table[lift, np.arange(k)[:, None]] = np.arange(lift.shape[1])
     return table
 
 
@@ -92,10 +118,14 @@ def expected_capacity(w: tuple, alpha, n: int) -> int:
     return capacity(w, [int(a * n) for a in alpha])
 
 
+def capacity_vector(m: int, k: int, sizes) -> np.ndarray:
+    """capacity for every composition of m into k parts, as floats."""
+    return np.array([float(capacity(w, sizes)) for w in weak_compositions(m, k)])
+
+
 def expected_capacity_vector(m: int, k: int, alpha, n: int) -> np.ndarray:
     """expected_capacity for every composition of m into k parts, as floats."""
-    sizes = [int(a * n) for a in alpha]
-    return np.array([float(capacity(w, sizes)) for w in weak_compositions(m, k)])
+    return capacity_vector(m, k, [int(a * n) for a in alpha])
 
 
 def multinomial_weight_vector(m: int, k: int, alpha) -> np.ndarray:

@@ -110,13 +110,16 @@ class GridPoint:
     coefficients: dict  # order -> unscaled coefficient array
 
 
-def _parse_kv_tokens(tokens):
+def _parse_kv_tokens(tokens, required):
     out = {}
     for tok in tokens:
         if "=" not in tok:
             raise ValueError(f"expected key=value, got {tok!r}")
         key, val = tok.split("=", 1)
         out[key.strip()] = val.strip()
+    missing = [key for key in required if key not in out]
+    if missing:
+        raise ValueError(f"{' '.join(tokens)!r} lacks {', '.join(missing)}")
     return out
 
 
@@ -138,7 +141,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if not line:
             continue
         if line.startswith("layer"):
-            kv = _parse_kv_tokens(line.split()[1:])
+            kv = _parse_kv_tokens(line.split()[1:], ("order",))
             spec = LayerSpec(
                 order=int(kv.pop("order")),
                 within=float(kv.pop("within")) if "within" in kv else None,
@@ -149,7 +152,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ValueError(f"unknown layer fields {sorted(kv)}")
             layers.append(spec)
         elif line.startswith("sweep"):
-            kv = _parse_kv_tokens(line.split()[1:])
+            kv = _parse_kv_tokens(line.split()[1:], ("order", "field", "values"))
             sweep = SweepSpec(
                 order=int(kv["order"]),
                 sweep_field=kv["field"],
@@ -163,6 +166,8 @@ def parse_config(text: str) -> ExperimentConfig:
             key, val = line.split("=", 1)
             scalars[key.strip()] = val.strip()
 
+    if "n" not in scalars:
+        raise ValueError("config lacks the required key n")
     k = int(scalars.get("k", 2))
     alpha = (tuple(float(t) for t in scalars["alpha"].split(","))
              if "alpha" in scalars else tuple([1.0 / k] * k))
@@ -229,6 +234,15 @@ CAPTURED_ERRORS = (ValueError, DegenerateDegreeError, InsufficientSampleError,
                    ConvergenceError)
 
 
+def sample_instance(config: ExperimentConfig, point: GridPoint, seed: int):
+    """The (tensors, truth, hypergraph) of one (point, seed) job; labels draw
+    from the stream [seed, 11] and edges from [seed, 12]."""
+    tensors = ProbabilityTensors.from_unscaled(config.k, point.coefficients, point.n)
+    truth = sample_membership(point.n, config.alpha, seed=[seed, 11])
+    h = sample_hypergraph(point.n, truth, tensors, seed=[seed, 12])
+    return tensors, truth, h
+
+
 def run_trial(config: ExperimentConfig, point: GridPoint, seed: int) -> TrialRecord:
     """Sample one instance at a grid point, run the configured pipeline,
     and score it against the sampled truth.  Pipeline failures are recorded,
@@ -237,13 +251,11 @@ def run_trial(config: ExperimentConfig, point: GridPoint, seed: int) -> TrialRec
     d_gch = None
     verdict = None
     try:
-        tensors = ProbabilityTensors.from_unscaled(config.k, point.coefficients, point.n)
+        tensors, truth, h = sample_instance(config, point, seed)
         if config.k >= 2:
             report = chernoff_hellinger(config.alpha, point.coefficients, point.n)
             d_gch = report.value
             verdict = classify_regime(d_gch).label
-        truth = sample_membership(point.n, config.alpha, seed=[seed, 11])
-        h = sample_hypergraph(point.n, truth, tensors, seed=[seed, 12])
         if config.mode == "agnostic":
             rec = agnostic_partition(h, config.k, seed=seed, truth=truth)
         else:

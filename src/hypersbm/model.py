@@ -353,44 +353,6 @@ def adjacency_matrix(h: Hypergraph) -> sp.csr_matrix:
     return upper + upper.T
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Incident-edge counts for one vertex, split by order and by the
-    membership type of the other members."""
-
-    vertex: int
-    counts: dict  # order m -> array over weak_compositions(m-1, k)
-    total: int
-
-    def count(self, m: int, w: tuple) -> int:
-        k = len(w)
-        return int(self.counts[m][composition_index(m - 1, k)[w]])
-
-
-def degree_profile(h: Hypergraph, v: int, labels, k: int = None) -> DegreeProfile:
-    """Profile of vertex v: for each order m and each type w of m-1 members,
-    the number of m-edges containing v whose other members realize w."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if not 0 <= v < h.n:
-        raise ValueError(f"vertex {v} out of range")
-    if k is None:
-        k = int(labels.max()) + 1
-    counts = {}
-    total = 0
-    for m, e in h.edges.items():
-        vec = np.zeros(len(weak_compositions(m - 1, k)), dtype=np.int64)
-        if len(e):
-            mask = np.any(e == v, axis=1)
-            index = composition_index(m - 1, k)
-            for row in e[mask]:
-                others = row[row != v]
-                w = tuple(np.bincount(labels[others], minlength=k))
-                vec[index[w]] += 1
-            total += int(mask.sum())
-        counts[m] = vec
-    return DegreeProfile(vertex=v, counts=counts, total=total)
-
-
 def expected_adjacency(labels, tensors: ProbabilityTensors) -> np.ndarray:
     """Exact mean of the adjacency matrix conditional on the labels."""
     labels = np.asarray(labels, dtype=np.int64)
@@ -460,7 +422,10 @@ def read_hypergraph(path) -> Hypergraph:
     """Parse and validate the hypergraph text format."""
     with open(path) as fh:
         header = fh.readline().strip()
-        fields = dict(tok.split("=", 1) for tok in header.split())
+        fields = dict(tok.split("=", 1) for tok in header.split() if "=" in tok)
+        if "n" not in fields or "orders" not in fields:
+            raise ValueError(f"{path}: header must read 'n=<n> orders=<m1,m2,...>', "
+                             f"got {header!r}")
         n = int(fields["n"])
         orders = [int(t) for t in fields["orders"].split(",") if t]
         rows = {m: [] for m in orders}

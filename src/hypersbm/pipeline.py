@@ -8,7 +8,6 @@ trimming, initialization on one part, MAP correction on the other).
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -59,22 +58,15 @@ def mismatch_ratio(truth, estimate, k: int = None):
         raise ValueError("membership vectors must have equal length")
     if k is None:
         k = int(max(truth.max(), estimate.max())) + 1
+    for name, z in (("truth", truth), ("estimate", estimate)):
+        if z.size and (z.min() < 0 or z.max() >= k):
+            raise ValueError(f"{name} labels must lie in [0, {k})")
     conf = confusion_matrix(truth, estimate, k)
     rows, cols = linear_sum_assignment(conf, maximize=True)
     perm = np.empty(k, dtype=np.int64)
     perm[rows] = cols
     matched = conf[rows, cols].sum()
     return 1.0 - matched / len(truth), perm
-
-
-def mismatch_ratio_bruteforce(truth, estimate, k: int) -> float:
-    """Exhaustive minimum over all k! label permutations (test oracle)."""
-    conf = confusion_matrix(truth, estimate, k)
-    n = len(np.asarray(truth))
-    best = 0
-    for perm in permutations(range(k)):
-        best = max(best, sum(conf[a, perm[a]] for a in range(k)))
-    return 1.0 - best / n
 
 
 # ---------------------------------------------------------------------------

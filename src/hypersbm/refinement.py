@@ -11,11 +11,11 @@ edges that are independent of the initial labels.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .compositions import capacity, member_lift_table, weak_compositions
+from .compositions import (capacity_vector, composition_rank, member_drop_table,
+                           member_lift_table, num_weak_compositions)
 from .model import Hypergraph, ProbabilityTensors, validate_prior
 
 
@@ -23,43 +23,19 @@ from .model import Hypergraph, ProbabilityTensors, validate_prior
 # Vectorized type counting
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _code_lookup(m: int, k: int, base: int) -> np.ndarray:
-    """Dense map from base-``base`` digit encodings of compositions of m
-    into k parts to their canonical index (-1 elsewhere)."""
-    if base**k > (1 << 26):
-        raise ValueError(
-            f"type tables infeasible for {k} communities at order {m - 1}")
-    table = np.full(base**k, -1, dtype=np.int64)
-    for idx, w in enumerate(weak_compositions(m, k)):
-        code = 0
-        for l in range(k):
-            code += w[l] * base**l
-        table[code] = idx
-    return table
-
-
-def _label_count_codes(edge_labels: np.ndarray, k: int, base: int) -> np.ndarray:
-    """Base-``base`` encoding of the per-community member counts per edge."""
-    codes = np.zeros(len(edge_labels), dtype=np.int64)
-    for l in range(k):
-        codes += (edge_labels == l).sum(axis=1) * base**l
-    return codes
+def _edge_types(edge_labels: np.ndarray, k: int) -> np.ndarray:
+    """Canonical type index of each edge from its members' labels (E, m)."""
+    num, m = edge_labels.shape
+    slots = np.arange(num, dtype=np.int64)[:, None] * k + edge_labels
+    counts = np.bincount(slots.ravel(), minlength=num * k).reshape(num, k)
+    return composition_rank(counts, m)
 
 
 def edge_composition_counts(h: Hypergraph, labels, k: int) -> dict:
     """Number of realized edges per membership type, for each order."""
     labels = np.asarray(labels, dtype=np.int64)
-    out = {}
-    for m, e in h.edges.items():
-        counts = np.zeros(len(weak_compositions(m, k)), dtype=np.int64)
-        if len(e):
-            base = m + 1
-            codes = _label_count_codes(labels[e], k, base)
-            idx = _code_lookup(m, k, base)[codes]
-            np.add.at(counts, idx, 1)
-        out[m] = counts
-    return out
+    return {m: np.bincount(_edge_types(labels[e], k), minlength=num_weak_compositions(m, k))
+            for m, e in h.edges.items()}
 
 
 def edge_type_count_matrix(h: Hypergraph, labels, k: int) -> dict:
@@ -69,38 +45,11 @@ def edge_type_count_matrix(h: Hypergraph, labels, k: int) -> dict:
     labels = np.asarray(labels, dtype=np.int64)
     out = {}
     for m, e in h.edges.items():
-        mat = np.zeros((h.n, len(weak_compositions(m - 1, k))), dtype=np.int64)
-        if len(e):
-            base = m + 1
-            full_codes = _label_count_codes(labels[e], k, base)
-            lookup = _code_lookup(m - 1, k, base)
-            # Removing one member of community l lowers its digit by one.
-            member_codes = full_codes[:, None] - base ** labels[e].astype(np.int64)
-            idx = lookup[member_codes]
-            np.add.at(mat, (e.ravel(), idx.ravel()), 1)
-        out[m] = mat
-    return out
-
-
-def edge_type_counts(h: Hypergraph, labels, v: int, k: int = None) -> dict:
-    """Counts of edges containing v by the type of the other members."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if k is None:
-        k = int(labels.max()) + 1
-    if not 0 <= v < h.n:
-        raise ValueError(f"vertex {v} out of range")
-    out = {}
-    for m, e in h.edges.items():
-        vec = np.zeros(len(weak_compositions(m - 1, k)), dtype=np.int64)
-        if len(e):
-            rows = e[np.any(e == v, axis=1)]
-            if len(rows):
-                base = m + 1
-                codes = _label_count_codes(labels[rows], k, base)
-                codes -= base ** labels[v]
-                idx = _code_lookup(m - 1, k, base)[codes]
-                np.add.at(vec, idx, 1)
-        out[m] = vec
+        edge_labels = labels[e]
+        others = member_drop_table(m, k)[_edge_types(edge_labels, k)[:, None], edge_labels]
+        width = num_weak_compositions(m - 1, k)
+        slots = (e * width + others).ravel()
+        out[m] = np.bincount(slots, minlength=h.n * width).reshape(h.n, width)
     return out
 
 
@@ -149,7 +98,7 @@ def estimate_tensors(h: Hypergraph, labels, k: int) -> EstimatedTensors:
     counts = edge_composition_counts(h, labels, k)
     capacities, values, defined = {}, {}, {}
     for m in h.orders:
-        caps = np.array([float(capacity(w, sizes)) for w in weak_compositions(m, k)])
+        caps = capacity_vector(m, k, sizes)
         ok = caps > 0
         vals = np.full(len(caps), np.nan)
         vals[ok] = counts[m][ok] / caps[ok]
@@ -173,7 +122,7 @@ def _likelihood_scores(h, labels, k, log_q, log_1mq, defined_by_order):
     if missing:
         raise ValueError(f"no probabilities for orders {sorted(missing)}")
     for m in h.orders:
-        caps = np.array([float(capacity(w, sizes)) for w in weak_compositions(m - 1, k)])
+        caps = capacity_vector(m - 1, k, sizes)
         lift = member_lift_table(m, k)
         lq = log_q[m][lift]
         l1 = log_1mq[m][lift]

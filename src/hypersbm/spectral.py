@@ -103,7 +103,7 @@ def trim(a, keep) -> sp.csr_matrix:
     """Zero the rows and columns outside the keep set."""
     keep = np.asarray(keep, dtype=bool)
     if sp.issparse(a):
-        mask = sp.diags(keep.astype(a.dtype))
+        mask = sp.diags(keep, dtype=np.float64)
         return (mask @ a.tocsr() @ mask).tocsr()
     out = np.array(a, copy=True)
     out[~keep, :] = 0

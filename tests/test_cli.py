@@ -76,3 +76,26 @@ def test_phase_writes_csv(config_path, tmp_path, capsys):
 
 def test_phase_without_output_path_fails(config_path, capsys):
     assert main(["phase", "--config", config_path]) == 2
+
+
+def test_phase_exits_one_when_trials_fail(tmp_path, capsys):
+    # rates this low leave a mean degree below 1, so every trial fails
+    path = tmp_path / "flat.cfg"
+    path.write_text(CONFIG.replace("trials = 2", "trials = 3")
+                    .replace("within=12 cross=2", "within=0.1 cross=0.1"))
+    out = str(tmp_path / "sweep.csv")
+    assert main(["phase", "--config", str(path), "--out", out]) == 1
+    assert "3 trials recorded errors" in capsys.readouterr().out
+    assert len(hs.parse_csv(out)) == 3
+
+
+def test_bad_input_is_one_line_and_exit_two(tmp_path, capsys):
+    path = tmp_path / "h.txt"
+    path.write_text("2 1 2\n2 2 3\n")
+    assert main(["recover", "--mode", "agnostic", "--input", str(path),
+                 "--k", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hypersbm: error: ") and "header" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert main(["recover", "--mode", "agnostic", "--input",
+                 str(tmp_path / "missing.txt"), "--k", "2"]) == 2

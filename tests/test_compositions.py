@@ -5,13 +5,18 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypersbm.compositions import (
     add_member,
     capacity,
+    capacity_vector,
     composition_index,
+    composition_rank,
     expected_capacity,
     expected_capacity_vector,
+    member_drop_table,
     member_lift_table,
     multinomial_weight_vector,
     num_weak_compositions,
@@ -55,6 +60,31 @@ def test_composition_index_roundtrip():
         idx = composition_index(m, k)
         for i, w in enumerate(weak_compositions(m, k)):
             assert idx[w] == i
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.integers(0, 8), st.integers(1, 8))
+def test_rank_is_position_in_canonical_order(m, k):
+    ws = np.array(weak_compositions(m, k), dtype=np.int64).reshape(-1, k)
+    assert np.array_equal(composition_rank(ws, m), np.arange(len(ws)))
+    # leading axes broadcast: one rank per row, shape kept
+    assert composition_rank(ws[None, ::-1], m).tolist() == [list(range(len(ws)))[::-1]]
+
+
+def test_member_drop_table_inverts_lift():
+    for m, k in [(2, 1), (2, 2), (3, 3), (4, 3), (6, 12)]:
+        drop = member_drop_table(m, k)
+        lift = member_lift_table(m, k)
+        upper = weak_compositions(m, k)
+        lower = weak_compositions(m - 1, k)
+        for i, w in enumerate(upper):
+            for label in range(k):
+                j = drop[i, label]
+                if w[label] == 0:
+                    assert j == -1
+                else:
+                    assert add_member(lower[j], label) == w
+                    assert lift[label, j] == i
 
 
 def test_add_member():
@@ -106,6 +136,13 @@ def test_expected_capacity():
     assert expected_capacity((0, 0), (0.3, 0.7), 50) == 1
     for w in weak_compositions(2, 2):
         assert expected_capacity(w, (0.3, 0.7), 41) == capacity(w, (12, 28))
+
+
+def test_capacity_vector_matches_scalar():
+    sizes = (4, 0, 3)
+    vec = capacity_vector(2, 3, sizes)
+    assert vec.dtype == np.float64
+    assert vec.tolist() == [float(capacity(w, sizes)) for w in weak_compositions(2, 3)]
 
 
 def test_expected_capacity_vector_matches_scalar():

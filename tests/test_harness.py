@@ -70,6 +70,15 @@ def test_parse_config_rejects_garbage():
         hs.parse_config("n=50\nk=2\nlayer order=2 values=1,2\n")  # wrong length
 
 
+def test_parse_config_names_missing_keys():
+    with pytest.raises(ValueError, match="required key n"):
+        hs.parse_config("k = 2\nlayer order=2 within=3 cross=1\n")
+    with pytest.raises(ValueError, match="'within=3 cross=1' lacks order"):
+        hs.parse_config("n = 50\nlayer within=3 cross=1\n")
+    with pytest.raises(ValueError, match="lacks field, values"):
+        hs.parse_config("n = 50\nlayer order=2 within=3 cross=1\nsweep order=2\n")
+
+
 def test_grid_points_cross_n_and_sweep():
     cfg = hs.parse_config(SWEEP_CONFIG.replace("n = 60", "n = 30,60"))
     points = grid_points(cfg)

@@ -1,4 +1,4 @@
-"""Sampling, adjacency, degree profiles, and the text formats."""
+"""Sampling, adjacency, per-vertex type counts, and the text formats."""
 
 import itertools
 
@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import hypersbm as hs
+from hypersbm.compositions import composition_index
 from hypersbm.model import Hypergraph, make_hypergraph
+from oracles import type_counts_bruteforce
 
 
 def two_block_tensors(n, a, b, orders=(2,)):
@@ -239,27 +241,33 @@ def test_handshake_identity():
 
 def test_degree_profile_isolated_vertex():
     h = make_hypergraph(4, {2: [[0, 1]]})
-    prof = hs.degree_profile(h, 3, np.zeros(4, dtype=int), k=1)
-    assert prof.total == 0
-    assert all(v.sum() == 0 for v in prof.counts.values())
+    labels = np.zeros(4, dtype=int)
+    counts = hs.edge_type_count_matrix(h, labels, 1)
+    assert h.degrees()[3] == 0
+    assert all(mat[3].sum() == 0 for mat in counts.values())
+    oracle = type_counts_bruteforce(h, labels, 3, 1)
+    assert all(np.array_equal(mat[3], oracle[m]) for m, mat in counts.items())
 
 
 def test_degree_profile_single_triple():
     h = make_hypergraph(3, {3: [[0, 1, 2]]})
-    prof = hs.degree_profile(h, 0, np.array([0, 0, 1]), k=2)
-    assert prof.count(3, (1, 1)) == 1
-    assert prof.total == 1
-    assert prof.counts[3].sum() == 1
+    labels = np.array([0, 0, 1])
+    row = hs.edge_type_count_matrix(h, labels, 2)[3][0]
+    assert row[composition_index(2, 2)[(1, 1)]] == 1
+    assert row.sum() == 1 == h.degrees()[0]
+    assert np.array_equal(row, type_counts_bruteforce(h, labels, 0, 2)[3])
 
 
 def test_degree_profile_sums_equal_incident_counts():
     for seed in range(20):
         h, labels, tensors = random_instance(seed)
-        deg = h.degrees()
+        counts = hs.edge_type_count_matrix(h, labels, tensors.k)
+        assert np.array_equal(sum(mat.sum(axis=1) for mat in counts.values()),
+                              h.degrees())
         for v in range(h.n):
-            prof = hs.degree_profile(h, v, labels, k=tensors.k)
-            assert prof.total == deg[v]
-            assert sum(c.sum() for c in prof.counts.values()) == deg[v]
+            oracle = type_counts_bruteforce(h, labels, v, tensors.k)
+            for m in h.orders:
+                assert np.array_equal(counts[m][v], oracle[m])
 
 
 def test_expected_adjacency_matches_enumeration():
@@ -312,6 +320,14 @@ def test_hypergraph_file_is_one_based(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "n=3 orders=2"
     assert lines[1] == "2 1 3"
+
+
+@pytest.mark.parametrize("header", ["orders=2", "n=3", "2 1 3"])
+def test_hypergraph_file_names_a_bad_header(tmp_path, header):
+    path = tmp_path / "h.txt"
+    path.write_text(f"{header}\n2 1 3\n")
+    with pytest.raises(ValueError, match="header must read 'n=<n> orders="):
+        hs.read_hypergraph(path)
 
 
 def test_membership_file_roundtrip(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 import hypersbm as hs
 from hypersbm.errors import DegenerateDegreeError
 from hypersbm.model import Hypergraph, make_hypergraph
-from hypersbm.pipeline import mismatch_ratio_bruteforce
+from oracles import mismatch_ratio_bruteforce
 
 
 def two_clique_instance():
@@ -44,6 +44,13 @@ def test_mismatch_half():
 def test_mismatch_rejects_length_mismatch():
     with pytest.raises(ValueError):
         hs.mismatch_ratio(np.array([0, 1]), np.array([0, 1, 1]))
+
+
+def test_mismatch_rejects_labels_outside_range():
+    with pytest.raises(ValueError, match=r"estimate labels must lie in \[0, 2\)"):
+        hs.mismatch_ratio(np.array([0, 1, 1]), np.array([0, 2, 1]), k=2)
+    with pytest.raises(ValueError, match=r"truth labels must lie in \[0, 2\)"):
+        hs.mismatch_ratio(np.array([0, -1, 1]), np.array([0, 1, 1]))
 
 
 def test_mismatch_equals_bruteforce():

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hypersbm as hs
+from hypersbm.compositions import composition_index
 from hypersbm.model import make_hypergraph
 from hypersbm.refinement import edge_composition_counts, edge_type_count_matrix
+from oracles import type_counts_bruteforce
 
 
 def two_clique_instance():
@@ -88,33 +92,35 @@ def test_estimate_accuracy_on_planted_instance():
 
 def test_edge_type_counts_examples():
     h = make_hypergraph(3, {3: [[0, 1, 2]]})
-    counts = hs.edge_type_counts(h, np.array([0, 1, 1]), 0, k=2)
+    counts = hs.edge_type_count_matrix(h, np.array([0, 1, 1]), 2)
     idx = list(hs.weak_compositions(2, 2)).index((0, 2))
-    assert counts[3][idx] == 1
-    assert counts[3].sum() == 1
+    assert counts[3][0, idx] == 1
+    assert counts[3][0].sum() == 1
+    # vertex 1 sees one member of each community
+    assert counts[3][1, list(hs.weak_compositions(2, 2)).index((1, 1))] == 1
     # isolated vertex
     h2 = make_hypergraph(4, {2: [[0, 1]]})
-    counts2 = hs.edge_type_counts(h2, np.zeros(4, dtype=int), 3, k=1)
-    assert counts2[2].sum() == 0
+    counts2 = hs.edge_type_count_matrix(h2, np.zeros(4, dtype=int), 1)
+    assert counts2[2][3].sum() == 0
 
 
 def test_edge_type_counts_match_degree_profile():
     for seed in range(10):
         h, z, T = planted_instance(30, 8, 2, seed, orders=(2, 3))
+        mats = edge_type_count_matrix(h, z, 2)
         for v in range(0, 30, 7):
-            counts = hs.edge_type_counts(h, z, v, k=2)
-            prof = hs.degree_profile(h, v, z, k=2)
+            oracle = type_counts_bruteforce(h, z, v, 2)
             for m in h.orders:
-                assert np.array_equal(counts[m], prof.counts[m])
+                assert np.array_equal(mats[m][v], oracle[m])
 
 
 def test_edge_type_count_matrix_matches_per_vertex():
     h, z, _ = planted_instance(40, 10, 3, 77, orders=(2, 3))
     mats = edge_type_count_matrix(h, z, 2)
-    for v in (0, 13, 39):
-        counts = hs.edge_type_counts(h, z, v, k=2)
+    for v in range(h.n):
+        oracle = type_counts_bruteforce(h, z, v, 2)
         for m in h.orders:
-            assert np.array_equal(mats[m][v], counts[m])
+            assert np.array_equal(mats[m][v], oracle[m])
 
 
 def test_edge_composition_counts_total():
@@ -122,6 +128,64 @@ def test_edge_composition_counts_total():
     counts = edge_composition_counts(h, z, 2)
     for m in h.orders:
         assert counts[m].sum() == h.num_edges(m)
+
+
+@st.composite
+def labelled_hypergraphs(draw):
+    """Small hypergraphs with orders 2-6 and labels from up to 12 communities."""
+    k = draw(st.integers(1, 12))
+    n = draw(st.integers(6, 14))
+    labels = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    edges = {}
+    for m in draw(st.sets(st.integers(2, 6), min_size=1, max_size=3)):
+        edge = st.lists(st.integers(0, n - 1), min_size=m, max_size=m, unique=True)
+        edges[m] = draw(st.lists(edge, max_size=15, unique_by=lambda r: frozenset(r)))
+    return make_hypergraph(n, edges), labels, k
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(labelled_hypergraphs())
+def test_type_count_kernel_matches_oracle(instance):
+    h, labels, k = instance
+    mats = edge_type_count_matrix(h, labels, k)
+    for v in range(h.n):
+        oracle = type_counts_bruteforce(h, labels, v, k)
+        for m in h.orders:
+            assert np.array_equal(mats[m][v], oracle[m])
+    totals = edge_composition_counts(h, labels, k)
+    for m, e in h.edges.items():
+        oracle = np.zeros(len(hs.weak_compositions(m, k)), dtype=np.int64)
+        for row in e:
+            oracle[composition_index(m, k)[tuple(np.bincount(labels[row], minlength=k))]] += 1
+        assert np.array_equal(totals[m], oracle)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(labelled_hypergraphs(), st.randoms(use_true_random=False))
+def test_type_count_rows_follow_vertex_relabelling(instance, rnd):
+    h, labels, k = instance
+    perm = np.array(rnd.sample(range(h.n), h.n))
+    moved = make_hypergraph(h.n, {m: perm[e] for m, e in h.edges.items()})
+    moved_labels = np.empty_like(labels)
+    moved_labels[perm] = labels
+    before = edge_type_count_matrix(h, labels, k)
+    after = edge_type_count_matrix(moved, moved_labels, k)
+    for m in h.orders:
+        assert np.array_equal(after[m][perm], before[m])
+
+
+def test_type_counts_have_no_community_cap():
+    # twelve communities with a 6-edge: past the reach of a dense
+    # base-(m+1)^k code table
+    h = make_hypergraph(8, {6: [[0, 1, 2, 3, 4, 5], [2, 3, 4, 5, 6, 7]], 2: [[0, 7]]})
+    labels = np.array([0, 11, 3, 3, 7, 5, 11, 2])
+    mats = edge_type_count_matrix(h, labels, 12)
+    for v in range(h.n):
+        oracle = type_counts_bruteforce(h, labels, v, 12)
+        for m in h.orders:
+            assert np.array_equal(mats[m][v], oracle[m])
+    assert mats[6][3].sum() == 2
+    assert edge_composition_counts(h, labels, 12)[6].sum() == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Trimming, low-rank approximation, and ball-peeling initialization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,16 @@ def test_trim_zeroes_rows_and_columns():
     assert not out[5].any() and not out[:, 5].any()
     inside = keep[:, None] & keep[None, :]
     assert np.array_equal(out[inside], a.toarray()[inside])
+
+
+def test_trim_casts_integer_counts_to_float_silently():
+    h, _ = two_clique_instance()
+    a = adjacency_matrix(h)
+    assert a.dtype == np.int64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = hs.trim(a, np.array([True] * 6 + [False] * 2))
+    assert out.dtype == np.float64
 
 
 def test_trim_idempotent():
