@@ -18,7 +18,7 @@ for k in (2, 3, 4):
     z = hs.sample_membership(n, [1.0 / k] * k, seed=[k, 11])
     h = hs.sample_hypergraph(n, z, T, seed=[k, 12])
     est = hs.estimate_num_communities(h)
-    eigs = ", ".join(f"{v:.0f}" for v in est.eigenvalues[: k + 2])
+    eigs = ", ".join(f"{v:.0f}" for v in est.eigenvalues[: est.k_hat + 1])
     print(f"planted k={k}: estimated {est.k_hat} "
           f"(threshold {est.threshold:.0f}, top eigenvalues {eigs})")
 

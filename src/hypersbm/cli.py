@@ -107,7 +107,8 @@ def _cmd_estimate_k(args) -> int:
     est = estimate_num_communities(h, full_spectrum=args.full_spectrum)
     print(f"estimated communities: {est.k_hat}")
     print(f"degree threshold:      {est.threshold:.6g}")
-    shown = est.eigenvalues[: est.k_hat + 3]
+    # the values that decide k_hat; deeper ones may be loose lower bounds
+    shown = est.eigenvalues[: est.k_hat + 1]
     print("top eigenvalues:       " + ", ".join(f"{v:.6g}" for v in shown))
     return 0
 

@@ -423,22 +423,28 @@ def read_hypergraph(path) -> Hypergraph:
     with open(path) as fh:
         header = fh.readline().strip()
         fields = dict(tok.split("=", 1) for tok in header.split() if "=" in tok)
-        if "n" not in fields or "orders" not in fields:
+        try:
+            n = int(fields["n"])
+            orders = [int(t) for t in fields["orders"].split(",") if t]
+        except (KeyError, ValueError):
             raise ValueError(f"{path}: header must read 'n=<n> orders=<m1,m2,...>', "
-                             f"got {header!r}")
-        n = int(fields["n"])
-        orders = [int(t) for t in fields["orders"].split(",") if t]
+                             f"got {header!r}") from None
         rows = {m: [] for m in orders}
         for line_no, line in enumerate(fh, start=2):
             parts = line.split()
             if not parts:
                 continue
-            m = int(parts[0])
+            try:
+                m = int(parts[0])
+                row = [int(t) - 1 for t in parts[1:]]
+            except ValueError:
+                raise ValueError(f"{path}: line {line_no}: order and vertex ids must be "
+                                 f"integers, got {line.strip()!r}") from None
             if m not in rows:
-                raise ValueError(f"line {line_no}: order {m} not declared in header")
+                raise ValueError(f"{path}: line {line_no}: order {m} not declared in header")
             if len(parts) != m + 1:
-                raise ValueError(f"line {line_no}: expected {m} vertex ids")
-            rows[m].append([int(t) - 1 for t in parts[1:]])
+                raise ValueError(f"{path}: line {line_no}: expected {m} vertex ids")
+            rows[m].append(row)
     edges = {m: np.asarray(r, dtype=np.int64).reshape(-1, m) for m, r in rows.items()}
     h = Hypergraph(n=n, edges={m: _canonical_edge_array(e, m) for m, e in edges.items()})
     h.validate()
@@ -453,8 +459,18 @@ def write_membership(labels, path) -> None:
 
 
 def read_membership(path) -> np.ndarray:
+    """Parse one 1-based community label per line; blank lines are skipped."""
+    labels = []
     with open(path) as fh:
-        labels = np.array([int(line) - 1 for line in fh if line.strip()], dtype=np.int64)
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                labels.append(int(line) - 1)
+            except ValueError:
+                raise ValueError(f"{path}: line {line_no}: label must be an integer, "
+                                 f"got {line.strip()!r}") from None
+    labels = np.array(labels, dtype=np.int64)
     if labels.size and labels.min() < 0:
-        raise ValueError("labels must be positive (1-based) in files")
+        raise ValueError(f"{path}: labels must be positive (1-based) in files")
     return labels

@@ -159,9 +159,13 @@ def spectral_init(a_kept, keep, k: int, radius: float, seed=None) -> np.ndarray:
         raise InsufficientSampleError(
             f"sampled {len(centers_pool)} candidate centers for k={k}")
 
-    # Ball membership over kept vertices for every candidate center.
-    diff = emb[centers_pool][:, None, :] - emb[kept][None, :, :]
-    in_ball = (diff * diff).sum(axis=2) <= radius
+    # Ball membership over kept vertices for every candidate center, one
+    # center at a time so no (centers, kept, k) temporary is ever allocated.
+    emb_kept = emb[kept]
+    in_ball = np.empty((len(centers_pool), len(kept)), dtype=bool)
+    for i, c in enumerate(centers_pool):
+        diff = emb[c] - emb_kept
+        in_ball[i] = (diff * diff).sum(axis=1) <= radius
 
     labels = np.full(n, -1, dtype=np.int64)
     assigned = np.zeros(len(kept), dtype=bool)

@@ -99,3 +99,13 @@ def test_bad_input_is_one_line_and_exit_two(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
     assert main(["recover", "--mode", "agnostic", "--input",
                  str(tmp_path / "missing.txt"), "--k", "2"]) == 2
+
+
+def test_bad_vertex_id_is_one_line_and_exit_two(tmp_path, capsys):
+    path = tmp_path / "h.txt"
+    path.write_text("n=3 orders=2\n2 1 x\n")
+    assert main(["recover", "--mode", "agnostic", "--input", str(path),
+                 "--k", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"hypersbm: error: {path}: line 2: "
+                   "order and vertex ids must be integers, got '2 1 x'\n")

@@ -322,12 +322,27 @@ def test_hypergraph_file_is_one_based(tmp_path):
     assert lines[1] == "2 1 3"
 
 
-@pytest.mark.parametrize("header", ["orders=2", "n=3", "2 1 3"])
+@pytest.mark.parametrize("header", ["orders=2", "n=3", "2 1 3", "n=x orders=2"])
 def test_hypergraph_file_names_a_bad_header(tmp_path, header):
     path = tmp_path / "h.txt"
     path.write_text(f"{header}\n2 1 3\n")
     with pytest.raises(ValueError, match="header must read 'n=<n> orders="):
         hs.read_hypergraph(path)
+
+
+@pytest.mark.parametrize("line", ["2 1 x", "two 1 3", "2 1.0 3"])
+def test_hypergraph_file_names_a_bad_id_and_its_line(tmp_path, line):
+    path = tmp_path / "h.txt"
+    path.write_text(f"n=3 orders=2\n2 1 2\n{line}\n")
+    with pytest.raises(ValueError, match=rf"h\.txt: line 3: .*integers, got '{line}'"):
+        hs.read_hypergraph(path)
+
+
+def test_membership_file_names_a_bad_label_and_its_line(tmp_path):
+    path = tmp_path / "z.txt"
+    path.write_text("1\n\n2\nb\n")
+    with pytest.raises(ValueError, match=r"z\.txt: line 4: label must be an integer, got 'b'"):
+        hs.read_membership(path)
 
 
 def test_membership_file_roundtrip(tmp_path):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import hypersbm as hs
+from hypersbm import pipeline
 from hypersbm.errors import DegenerateDegreeError
 from hypersbm.model import Hypergraph, make_hypergraph
-from oracles import mismatch_ratio_bruteforce
+from oracles import count_communities_tight, mismatch_ratio_bruteforce
 
 
 def two_clique_instance():
@@ -223,3 +224,36 @@ def test_count_widened_search():
     est = hs.estimate_num_communities(h, num_eigenvalues=20)
     assert len(est.eigenvalues) == 20
     assert est.k_hat == 2
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_count_matches_tight_solve(n, k):
+    coeffs = hs.two_level_coefficients(k, {2: 12.0, 3: 14.0}, {2: 1.0, 3: 1.5})
+    T = hs.ProbabilityTensors.from_unscaled(k, coeffs, n)
+    z = hs.sample_membership(n, [1.0 / k] * k, seed=[k, 11])
+    h = hs.sample_hypergraph(n, z, T, seed=[k, 12])
+    est = hs.estimate_num_communities(h)
+    tight = count_communities_tight(h)
+    assert est.k_hat == tight.k_hat == k
+    assert est.threshold == tight.threshold
+    assert np.allclose(est.eigenvalues[:k], tight.eigenvalues[:k], rtol=1e-9, atol=0)
+
+
+def test_count_falls_back_to_tight_solve_near_threshold(monkeypatch):
+    # K_81 plus K_27 padded with isolated vertices: the threshold is
+    # 80^(3/4) ~ 26.7 and the second eigenvalue 26 lies within 10% of it
+    cliques = [[base + i, base + j] for base, size in ((0, 81), (81, 27))
+               for i in range(size) for j in range(i + 1, size)]
+    h = make_hypergraph(300, {2: cliques})
+    calls = []
+
+    def spy(a, k, **kwargs):
+        calls.append(kwargs)
+        return hs.rank_k_approx(a, k, **kwargs)
+
+    monkeypatch.setattr(pipeline, "rank_k_approx", spy)
+    est = hs.estimate_num_communities(h)
+    assert calls == [{"tol": pipeline.COUNT_TOL}, {}]
+    assert est.k_hat == 1
+    assert np.allclose(est.eigenvalues[:2], [80.0, 26.0])
