@@ -27,8 +27,7 @@ from .pipeline import agnostic_partition, estimate_num_communities, partition_wi
 def _cmd_threshold(args) -> int:
     config = read_config(args.config)
     if config.k < 2:
-        print("threshold needs k >= 2")
-        return 2
+        raise ValueError("threshold needs k >= 2")
     for point in grid_points(config):
         finite = chernoff_hellinger(config.alpha, point.coefficients, point.n)
         asym = chernoff_hellinger(config.alpha, point.coefficients, point.n,
@@ -53,8 +52,7 @@ def _cmd_sample(args) -> int:
     config = read_config(args.config)
     points = grid_points(config)
     if not 0 <= args.point < len(points):
-        print(f"point index {args.point} out of range (grid has {len(points)})")
-        return 2
+        raise ValueError(f"point index {args.point} out of range (grid has {len(points)})")
     seed = config.seed if args.seed is None else args.seed
     _, truth, h = sample_instance(config, points[args.point], seed)
     write_hypergraph(h, args.out)
@@ -70,14 +68,12 @@ def _cmd_recover(args) -> int:
     h = read_hypergraph(args.input)
     truth = read_membership(args.truth) if args.truth else None
     if truth is not None and len(truth) != h.n:
-        print("truth length does not match hypergraph")
-        return 2
+        raise ValueError("truth length does not match hypergraph")
     if args.mode == "agnostic":
         report = agnostic_partition(h, args.k, seed=args.seed, truth=truth)
     else:
         if not args.config:
-            print("--mode prior needs --config for the probabilities and prior")
-            return 2
+            raise ValueError("--mode prior needs --config for the probabilities and prior")
         config = read_config(args.config)
         point = grid_points(config)[0]
         tensors = ProbabilityTensors.from_unscaled(config.k, point.coefficients, h.n)
@@ -117,8 +113,7 @@ def _cmd_phase(args) -> int:
     config = read_config(args.config)
     out = args.out or config.out
     if not out:
-        print("no output path: pass --out or set out= in the config")
-        return 2
+        raise ValueError("no output path: pass --out or set out= in the config")
     records, summaries = phase_sweep(config, workers=args.workers)
     emit_csv(records, out)
     print(f"wrote {out}: {len(records)} trials over {len(summaries)} points")

@@ -181,8 +181,22 @@ class Hypergraph:
                 raise ValueError(f"order {m}: vertex id out of range")
             if np.any(np.diff(e, axis=1) <= 0):
                 raise ValueError(f"order {m}: rows must be strictly increasing")
-            if len(np.unique(e, axis=0)) != len(e):
+            steps = _row_steps(e)
+            if np.any(steps == 0):
                 raise ValueError(f"order {m}: duplicate edges")
+            if np.any(steps < 0):
+                raise ValueError(f"order {m}: rows must be in lexicographic order")
+
+
+def _row_steps(e: np.ndarray) -> np.ndarray:
+    """For each pair of consecutive rows, the sign of the first nonzero
+    column of their difference: 1 where the later row is lexicographically
+    greater, 0 where the rows are equal, -1 where it is smaller."""
+    steps = np.zeros(max(len(e) - 1, 0), dtype=np.int64)
+    for c in range(e.shape[1] - 1, -1, -1):
+        s = np.sign(e[1:, c] - e[:-1, c])
+        steps = np.where(s != 0, s, steps)
+    return steps
 
 
 def _canonical_edge_array(rows: np.ndarray, m: int) -> np.ndarray:
@@ -407,6 +421,28 @@ def max_expected_degree(tensors: ProbabilityTensors, alpha, n: int) -> float:
 # Text formats
 # ---------------------------------------------------------------------------
 
+# Rows formatted per write call; bounds the size of the formatted string.
+WRITE_ROWS = 65536
+# Characters read per block; a block is cut back to its last newline.
+READ_BLOCK_CHARS = 1 << 20
+# Longest accepted token: every number of at most 18 digits fits in int64.
+MAX_DIGITS = 18
+
+# Byte table: the value of each ASCII digit, SPACE for the ASCII whitespace
+# that str.split() separates on, OTHER for every other byte.
+_SPACE, _OTHER = 10, 11
+_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_CLASS[list(b"0123456789")] = np.arange(10, dtype=np.uint8)
+_BYTE_CLASS[list(b" \t\n\r\v\f\x1c\x1d\x1e\x1f")] = _SPACE
+
+
+def _write_rows(fh, template: str, rows: np.ndarray) -> None:
+    """Write ``template % row`` for each row, WRITE_ROWS rows per call."""
+    for start in range(0, len(rows), WRITE_ROWS):
+        chunk = rows[start:start + WRITE_ROWS]
+        fh.write(template * len(chunk) % tuple(chunk.ravel().tolist()))
+
+
 def write_hypergraph(h: Hypergraph, path) -> None:
     """Write the text format: header ``n=<n> orders=<m1,m2,...>`` then one
     edge per line as ``<m> v1 ... vm`` with 1-based, increasing ids."""
@@ -414,8 +450,69 @@ def write_hypergraph(h: Hypergraph, path) -> None:
         orders = ",".join(str(m) for m in h.orders)
         fh.write(f"n={h.n} orders={orders}\n")
         for m in h.orders:
-            for row in h.edges[m]:
-                fh.write(f"{m} " + " ".join(str(v + 1) for v in row) + "\n")
+            rows = np.asarray(h.edges[m], dtype=np.int64).reshape(-1, m) + 1
+            _write_rows(fh, f"{m}" + " %d" * m + "\n", rows)
+
+
+def _line_blocks(fh):
+    """The rest of a text file as blocks of whole lines, each about
+    READ_BLOCK_CHARS long and ending in a newline."""
+    pending = []
+    while chunk := fh.read(READ_BLOCK_CHARS):
+        cut = chunk.rfind("\n") + 1
+        if cut == 0:
+            pending.append(chunk)
+            continue
+        pending.append(chunk[:cut])
+        yield "".join(pending)
+        pending = [chunk[cut:]]
+    tail = "".join(pending)
+    if tail:
+        yield tail + "\n"
+
+
+@dataclass(frozen=True)
+class _Tokens:
+    """Whitespace-separated tokens of a block of whole lines.
+
+    ``values`` holds each token's value; per line, ``first`` is the index of
+    its first token, ``counts`` its token count and ``bad`` whether any of
+    its tokens is not 1 to MAX_DIGITS ASCII digits (the values of such
+    tokens are meaningless).
+    """
+
+    raw: np.ndarray       # the block's UTF-8 bytes
+    newlines: np.ndarray  # byte offset of each line's newline
+    values: np.ndarray
+    first: np.ndarray
+    counts: np.ndarray
+    bad: np.ndarray
+
+    def line(self, i: int) -> str:
+        """Text of line i, stripped."""
+        start = self.newlines[i - 1] + 1 if i else 0
+        return self.raw[start:self.newlines[i]].tobytes().decode("utf-8").strip()
+
+
+def _tokenize(block: str) -> _Tokens:
+    raw = np.frombuffer(block.encode("utf-8"), dtype=np.uint8)
+    classes = _BYTE_CLASS.take(raw)
+    # the block ends in a newline, so every token that starts also ends
+    flips = np.flatnonzero(np.diff(classes != _SPACE, prepend=False))
+    starts, ends = flips[0::2], flips[1::2]
+    lengths = ends - starts
+    values = classes[starts].astype(np.int64)
+    for j in range(1, min(int(lengths.max(initial=0)), MAX_DIGITS)):
+        live = np.flatnonzero(lengths > j)
+        values[live] = values[live] * 10 + classes[starts[live] + j]
+    newlines = np.flatnonzero(raw == ord("\n"))
+    counts = np.diff(np.searchsorted(starts, newlines), prepend=0)
+    bad = np.zeros(len(newlines), dtype=bool)
+    wrong = np.concatenate((np.flatnonzero(classes == _OTHER),
+                            starts[lengths > MAX_DIGITS]))
+    bad[np.searchsorted(newlines, wrong)] = True
+    return _Tokens(raw=raw, newlines=newlines, values=values,
+                   first=np.cumsum(counts) - counts, counts=counts, bad=bad)
 
 
 def read_hypergraph(path) -> Hypergraph:
@@ -429,24 +526,35 @@ def read_hypergraph(path) -> Hypergraph:
         except (KeyError, ValueError):
             raise ValueError(f"{path}: header must read 'n=<n> orders=<m1,m2,...>', "
                              f"got {header!r}") from None
-        rows = {m: [] for m in orders}
-        for line_no, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                m = int(parts[0])
-                row = [int(t) - 1 for t in parts[1:]]
-            except ValueError:
-                raise ValueError(f"{path}: line {line_no}: order and vertex ids must be "
-                                 f"integers, got {line.strip()!r}") from None
-            if m not in rows:
-                raise ValueError(f"{path}: line {line_no}: order {m} not declared in header")
-            if len(parts) != m + 1:
-                raise ValueError(f"{path}: line {line_no}: expected {m} vertex ids")
-            rows[m].append(row)
-    edges = {m: np.asarray(r, dtype=np.int64).reshape(-1, m) for m, r in rows.items()}
-    h = Hypergraph(n=n, edges={m: _canonical_edge_array(e, m) for m, e in edges.items()})
+        parts = {m: [] for m in orders}
+        line_no = 2
+        for block in _line_blocks(fh):
+            tok = _tokenize(block)
+            lines = np.flatnonzero(tok.counts)
+            m = tok.values[tok.first[lines]]
+            bad = tok.bad[lines]
+            undeclared = ~np.isin(m, orders)
+            wrong_length = tok.counts[lines] != m + 1
+            errors = np.flatnonzero(bad | undeclared | wrong_length)
+            if len(errors):
+                i = errors[0]
+                where = f"{path}: line {line_no + lines[i]}"
+                if bad[i]:
+                    raise ValueError(f"{where}: order and vertex ids must be "
+                                     f"integers, got {tok.line(lines[i])!r}")
+                if undeclared[i]:
+                    raise ValueError(f"{where}: order {m[i]} not declared in header")
+                raise ValueError(f"{where}: expected {m[i]} vertex ids")
+            for order, rows in parts.items():
+                first = tok.first[lines[m == order]]
+                rows.append(tok.values[first[:, None] + np.arange(1, order + 1)] - 1)
+            line_no += len(tok.counts)
+    edges = {}
+    for m, rows in parts.items():
+        e = np.concatenate(rows) if rows else np.empty((0, m), dtype=np.int64)
+        canonical = np.all(np.diff(e, axis=1) > 0) and np.all(_row_steps(e) > 0)
+        edges[m] = e if canonical else _canonical_edge_array(e, m)
+    h = Hypergraph(n=n, edges=edges)
     h.validate()
     return h
 
@@ -454,23 +562,24 @@ def read_hypergraph(path) -> Hypergraph:
 def write_membership(labels, path) -> None:
     """One 1-based community label per line."""
     with open(path, "w") as fh:
-        for z in np.asarray(labels, dtype=np.int64):
-            fh.write(f"{z + 1}\n")
+        _write_rows(fh, "%d\n", np.asarray(labels, dtype=np.int64) + 1)
 
 
 def read_membership(path) -> np.ndarray:
     """Parse one 1-based community label per line; blank lines are skipped."""
     labels = []
+    line_no = 1
     with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                labels.append(int(line) - 1)
-            except ValueError:
-                raise ValueError(f"{path}: line {line_no}: label must be an integer, "
-                                 f"got {line.strip()!r}") from None
-    labels = np.array(labels, dtype=np.int64)
+        for block in _line_blocks(fh):
+            tok = _tokenize(block)
+            errors = np.flatnonzero(tok.bad | (tok.counts > 1))
+            if len(errors):
+                i = errors[0]
+                raise ValueError(f"{path}: line {line_no + i}: label must be an integer, "
+                                 f"got {tok.line(i)!r}")
+            labels.append(tok.values - 1)
+            line_no += len(tok.counts)
+    labels = np.concatenate(labels) if labels else np.empty(0, dtype=np.int64)
     if labels.size and labels.min() < 0:
         raise ValueError(f"{path}: labels must be positive (1-based) in files")
     return labels

@@ -7,7 +7,7 @@ from itertools import permutations
 import numpy as np
 
 from hypersbm.compositions import composition_index, weak_compositions
-from hypersbm.model import adjacency_matrix
+from hypersbm.model import Hypergraph, _canonical_edge_array, adjacency_matrix
 from hypersbm.pipeline import CommunityCountEstimate, confusion_matrix
 from hypersbm.spectral import rank_k_approx
 
@@ -47,3 +47,56 @@ def count_communities_tight(h) -> CommunityCountEstimate:
     below = np.flatnonzero(vals <= threshold)
     k_hat = int(below[0]) if len(below) else len(vals)
     return CommunityCountEstimate(k_hat=k_hat, eigenvalues=vals, threshold=threshold)
+
+
+def read_hypergraph_lines(path) -> Hypergraph:
+    """Parse and validate the hypergraph text format one line at a time
+    with int() (the reference for model.read_hypergraph)."""
+    with open(path) as fh:
+        header = fh.readline().strip()
+        fields = dict(tok.split("=", 1) for tok in header.split() if "=" in tok)
+        try:
+            n = int(fields["n"])
+            orders = [int(t) for t in fields["orders"].split(",") if t]
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}: header must read 'n=<n> orders=<m1,m2,...>', "
+                             f"got {header!r}") from None
+        rows = {m: [] for m in orders}
+        for line_no, line in enumerate(fh, start=2):
+            parts = line.split()
+            if not parts:
+                continue
+            try:
+                m = int(parts[0])
+                row = [int(t) - 1 for t in parts[1:]]
+            except ValueError:
+                raise ValueError(f"{path}: line {line_no}: order and vertex ids must be "
+                                 f"integers, got {line.strip()!r}") from None
+            if m not in rows:
+                raise ValueError(f"{path}: line {line_no}: order {m} not declared in header")
+            if len(parts) != m + 1:
+                raise ValueError(f"{path}: line {line_no}: expected {m} vertex ids")
+            rows[m].append(row)
+    edges = {m: np.asarray(r, dtype=np.int64).reshape(-1, m) for m, r in rows.items()}
+    h = Hypergraph(n=n, edges={m: _canonical_edge_array(e, m) for m, e in edges.items()})
+    h.validate()
+    return h
+
+
+def read_membership_lines(path) -> np.ndarray:
+    """Parse one 1-based community label per line with int(); blank lines
+    are skipped (the reference for model.read_membership)."""
+    labels = []
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                labels.append(int(line) - 1)
+            except ValueError:
+                raise ValueError(f"{path}: line {line_no}: label must be an integer, "
+                                 f"got {line.strip()!r}") from None
+    labels = np.array(labels, dtype=np.int64)
+    if labels.size and labels.min() < 0:
+        raise ValueError(f"{path}: labels must be positive (1-based) in files")
+    return labels

@@ -56,8 +56,11 @@ def test_sample_then_recover_and_estimate(config_path, tmp_path, capsys):
 def test_recover_prior_needs_config(config_path, tmp_path, capsys):
     h_path = str(tmp_path / "h.txt")
     main(["sample", "--config", config_path, "--out", h_path])
+    capsys.readouterr()
     assert main(["recover", "--mode", "prior", "--input", h_path,
                  "--k", "2"]) == 2
+    assert capsys.readouterr().err == ("hypersbm: error: --mode prior needs --config "
+                                       "for the probabilities and prior\n")
     assert main(["recover", "--mode", "prior", "--input", h_path,
                  "--k", "2", "--config", config_path]) == 0
     assert main(["recover", "--mode", "prior", "--input", h_path,
@@ -76,6 +79,28 @@ def test_phase_writes_csv(config_path, tmp_path, capsys):
 
 def test_phase_without_output_path_fails(config_path, capsys):
     assert main(["phase", "--config", config_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("hypersbm: error: no output path: pass --out "
+                            "or set out= in the config\n")
+
+
+def test_usage_errors_are_one_line_and_exit_two(config_path, tmp_path, capsys):
+    h_path, z_path = str(tmp_path / "h.txt"), str(tmp_path / "z.txt")
+    assert main(["sample", "--config", config_path, "--out", h_path, "--point", "1"]) == 2
+    assert capsys.readouterr().err == ("hypersbm: error: point index 1 out of range "
+                                       "(grid has 1)\n")
+    main(["sample", "--config", config_path, "--out", h_path])
+    (tmp_path / "z.txt").write_text("1\n2\n")
+    capsys.readouterr()
+    assert main(["recover", "--mode", "agnostic", "--input", h_path, "--truth", z_path,
+                 "--k", "2"]) == 2
+    assert capsys.readouterr().err == ("hypersbm: error: truth length does not "
+                                       "match hypergraph\n")
+    one = tmp_path / "one.cfg"
+    one.write_text(CONFIG.replace("k = 2", "k = 1").replace("alpha = 0.5,0.5", "alpha = 1"))
+    assert main(["threshold", "--config", str(one)]) == 2
+    assert capsys.readouterr().err == "hypersbm: error: threshold needs k >= 2\n"
 
 
 def test_phase_exits_one_when_trials_fail(tmp_path, capsys):
@@ -109,3 +134,22 @@ def test_bad_vertex_id_is_one_line_and_exit_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == (f"hypersbm: error: {path}: line 2: "
                    "order and vertex ids must be integers, got '2 1 x'\n")
+
+
+def test_overlong_number_is_one_line_and_exit_two(config_path, tmp_path, capsys):
+    # 20 digits do not fit in int64; the readers name the line instead
+    path = tmp_path / "h.txt"
+    path.write_text("n=3 orders=2\n2 1 99999999999999999999\n")
+    assert main(["recover", "--mode", "agnostic", "--input", str(path), "--k", "2"]) == 2
+    assert capsys.readouterr().err == (
+        f"hypersbm: error: {path}: line 2: order and vertex ids must be integers, "
+        "got '2 1 99999999999999999999'\n")
+    h_path, z_path = str(tmp_path / "g.txt"), tmp_path / "z.txt"
+    main(["sample", "--config", config_path, "--out", h_path])
+    z_path.write_text("1\n99999999999999999999\n")
+    capsys.readouterr()
+    assert main(["recover", "--mode", "agnostic", "--input", h_path, "--truth", str(z_path),
+                 "--k", "2"]) == 2
+    assert capsys.readouterr().err == (
+        f"hypersbm: error: {z_path}: line 2: label must be an integer, "
+        "got '99999999999999999999'\n")

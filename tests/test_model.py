@@ -1,14 +1,18 @@
 """Sampling, adjacency, per-vertex type counts, and the text formats."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import hypersbm as hs
+from hypersbm import model
 from hypersbm.compositions import composition_index
 from hypersbm.model import Hypergraph, make_hypergraph
-from oracles import type_counts_bruteforce
+from oracles import read_hypergraph_lines, read_membership_lines, type_counts_bruteforce
 
 
 def two_block_tensors(n, a, b, orders=(2,)):
@@ -330,11 +334,12 @@ def test_hypergraph_file_names_a_bad_header(tmp_path, header):
         hs.read_hypergraph(path)
 
 
-@pytest.mark.parametrize("line", ["2 1 x", "two 1 3", "2 1.0 3"])
+@pytest.mark.parametrize("line", ["2 1 x", "two 1 3", "2 1.0 3", "2 1 99999999999999999999",
+                                  "2 +1 3", "2 1 1_0", "2 1 \u0663"])
 def test_hypergraph_file_names_a_bad_id_and_its_line(tmp_path, line):
     path = tmp_path / "h.txt"
     path.write_text(f"n=3 orders=2\n2 1 2\n{line}\n")
-    with pytest.raises(ValueError, match=rf"h\.txt: line 3: .*integers, got '{line}'"):
+    with pytest.raises(ValueError, match=rf"h\.txt: line 3: .*integers, got {re.escape(repr(line))}"):
         hs.read_hypergraph(path)
 
 
@@ -342,6 +347,14 @@ def test_membership_file_names_a_bad_label_and_its_line(tmp_path):
     path = tmp_path / "z.txt"
     path.write_text("1\n\n2\nb\n")
     with pytest.raises(ValueError, match=r"z\.txt: line 4: label must be an integer, got 'b'"):
+        hs.read_membership(path)
+
+
+@pytest.mark.parametrize("label", ["99999999999999999999", "-1", "1 2"])
+def test_membership_file_rejects_what_is_not_one_number(tmp_path, label):
+    path = tmp_path / "z.txt"
+    path.write_text(f"1\n{label}\n")
+    with pytest.raises(ValueError, match=rf"z\.txt: line 2: label must be an integer, got {re.escape(repr(label))}"):
         hs.read_membership(path)
 
 
@@ -360,3 +373,153 @@ def test_hypergraph_validation_rejects_bad_edges():
         make_hypergraph(3, {2: [[0, 3]]})      # id out of range
     with pytest.raises(ValueError):
         make_hypergraph(3, {2: [[0, 1], [1, 0]]})  # duplicate edge
+    with pytest.raises(ValueError, match="duplicate edges"):
+        Hypergraph(3, {2: np.array([[0, 1], [0, 1]])}).validate()
+    with pytest.raises(ValueError, match="lexicographic order"):
+        Hypergraph(3, {2: np.array([[1, 2], [0, 1]])}).validate()
+
+
+# ---------------------------------------------------------------------------
+# File readers against the line-by-line oracles
+# ---------------------------------------------------------------------------
+
+BLOCK_SIZES = st.sampled_from([1, 2, 3, 7, 64, model.READ_BLOCK_CHARS])
+CORRUPT_ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz. \t\n"
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("files")
+
+
+def _read(reader, path, block):
+    """The reader's result, or its ValueError message."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "READ_BLOCK_CHARS", block)
+        try:
+            return reader(path)
+        except ValueError as exc:
+            return str(exc)
+
+
+def _assert_same_hypergraph_outcome(path, block):
+    got, want = _read(hs.read_hypergraph, path, block), _read(read_hypergraph_lines, path, block)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    assert got.n == want.n and list(got.edges) == list(want.edges)
+    for m in want.edges:
+        assert got.edges[m].dtype == want.edges[m].dtype
+        assert np.array_equal(got.edges[m], want.edges[m])
+
+
+def _assert_same_membership_outcome(path, block):
+    got, want = _read(hs.read_membership, path, block), _read(read_membership_lines, path, block)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@st.composite
+def hypergraph_texts(draw):
+    """A valid hypergraph file in any row order, any vertex order within a
+    row, orders interleaved, with blank lines, tabs, CRLF or LF line ends and
+    an optional final newline."""
+    n = draw(st.integers(4, 9))
+    orders = draw(st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=3, unique=True))
+    rows = []
+    for m in orders:
+        subsets = list(itertools.combinations(range(1, n + 1), m))
+        for edge in draw(st.lists(st.sampled_from(subsets), unique=True, max_size=10)):
+            rows.append([m] + draw(st.permutations(edge)))
+    rows = draw(st.permutations(rows))
+    space = st.sampled_from([" ", "\t", "  ", " \t "])
+    lines = [f"n={n} orders={','.join(map(str, orders))}"]
+    for row in rows:
+        lines += [draw(st.sampled_from(["", " ", "\t"]))] * draw(st.integers(0, 1))
+        lines.append(draw(space).join(map(str, row)) + draw(st.sampled_from(["", " "])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@st.composite
+def membership_texts(draw):
+    labels = draw(st.lists(st.integers(1, 5), max_size=30))
+    lines = []
+    for z in labels:
+        lines += [draw(st.sampled_from(["", " ", "\t"]))] * draw(st.integers(0, 1))
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + str(z))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@st.composite
+def corrupted(draw, texts, keep=0):
+    """A valid text with a few characters replaced, inserted or deleted,
+    using only characters of CORRUPT_ALPHABET, past its first ``keep``
+    lines."""
+    text = draw(texts).replace("\r\n", "\n")
+    start = sum(len(line) for line in text.splitlines(keepends=True)[:keep])
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(start, len(text)))
+        char = draw(st.sampled_from(CORRUPT_ALPHABET))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if edit == "insert":
+            text = text[:at] + char + text[at:]
+        elif edit == "replace":
+            text = text[:at] + char + text[at + 1:]
+        else:
+            text = text[:at] + text[at + 1:]
+    # the oracle overflows int64 on longer numbers, where the reader names the line
+    assume(all(len(run) <= model.MAX_DIGITS for run in re.findall(r"[0-9]+", text)))
+    return text
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(hypergraph_texts(), BLOCK_SIZES)
+def test_read_hypergraph_matches_line_oracle_on_valid_files(scratch, text, block):
+    path = scratch / "valid.txt"
+    path.write_bytes(text.encode())
+    _assert_same_hypergraph_outcome(path, block)
+    assert not isinstance(_read(hs.read_hypergraph, path, block), str)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(corrupted(hypergraph_texts(), keep=1), BLOCK_SIZES)
+def test_read_hypergraph_matches_line_oracle_on_corrupted_files(scratch, text, block):
+    path = scratch / "corrupted.txt"
+    path.write_bytes(text.encode())
+    _assert_same_hypergraph_outcome(path, block)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(membership_texts(), BLOCK_SIZES)
+def test_read_membership_matches_line_oracle_on_valid_files(scratch, text, block):
+    path = scratch / "labels.txt"
+    path.write_bytes(text.encode())
+    _assert_same_membership_outcome(path, block)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(corrupted(membership_texts()), BLOCK_SIZES)
+def test_read_membership_matches_line_oracle_on_corrupted_files(scratch, text, block):
+    path = scratch / "labels.txt"
+    path.write_bytes(text.encode())
+    _assert_same_membership_outcome(path, block)
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, 9])
+def test_lines_straddling_read_blocks(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(model, "READ_BLOCK_CHARS", block)
+    path = tmp_path / "h.txt"
+    path.write_text("n=12 orders=2,3\n2 10 11\n3 1 2 12\n\n2 1 12\n")
+    h = hs.read_hypergraph(path)
+    assert h.edges[2].tolist() == [[0, 11], [9, 10]] and h.edges[3].tolist() == [[0, 1, 11]]
+    path.write_text("n=12 orders=2,3\n2 10 11\n3 1 2 12\n\n2 1 1x2\n2 1 2\n")
+    with pytest.raises(ValueError, match="line 5: order and vertex ids must be integers, "
+                                         "got '2 1 1x2'"):
+        hs.read_hypergraph(path)
+    path.write_text("1\n22\n\n1")
+    assert hs.read_membership(path).tolist() == [0, 21, 0]

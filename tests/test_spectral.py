@@ -134,6 +134,18 @@ def test_rank_k_sparse_path_matches_dense():
     assert np.allclose(approx.values, vals, atol=1e-6)
 
 
+@pytest.mark.parametrize("tol", [1e-8, 0.1])
+def test_rank_k_sparse_path_is_deterministic(tol):
+    n = 2000
+    tensors = hs.ProbabilityTensors.from_unscaled(
+        2, hs.two_level_coefficients(2, {2: 8.0}, {2: 2.0}), n)
+    z = hs.sample_membership(n, [0.5, 0.5], seed=1)
+    a = adjacency_matrix(hs.sample_hypergraph(n, z, tensors, seed=2))
+    first, second = hs.rank_k_approx(a, 4, tol=tol), hs.rank_k_approx(a, 4, tol=tol)
+    assert np.array_equal(first.values, second.values)
+    assert np.array_equal(first.vectors, second.vectors)
+
+
 def test_rank_k_validates_k():
     with pytest.raises(ValueError):
         hs.rank_k_approx(np.eye(3), 0)
