@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .divergence import chernoff_hellinger, classify_regime
-from .errors import ConvergenceError, DegenerateDegreeError, InsufficientSampleError
+from .errors import ConvergenceError
 from .model import (
     ProbabilityTensors,
     sample_hypergraph,
@@ -230,8 +230,7 @@ def _round9(x):
     return None if x is None else float(f"{x:.9g}")
 
 
-CAPTURED_ERRORS = (ValueError, DegenerateDegreeError, InsufficientSampleError,
-                   ConvergenceError)
+CAPTURED_ERRORS = (ValueError, ConvergenceError)
 
 
 def sample_instance(config: ExperimentConfig, point: GridPoint, seed: int):

@@ -17,8 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .compositions import (
-    add_member,
     capacity,
+    capacity_vector,
     composition_index,
     expected_capacity_vector,
     member_lift_table,
@@ -348,51 +348,40 @@ def sample_hypergraph(n: int, labels, tensors: ProbabilityTensors, seed=None) ->
 # ---------------------------------------------------------------------------
 
 def adjacency_matrix(h: Hypergraph) -> sp.csr_matrix:
-    """Symmetric pair-incidence counts: entry (i, j) is the number of edges
-    containing both i and j; the diagonal is zero."""
-    rows, cols = [], []
+    """Symmetric pair-incidence counts as a float64 CSR matrix: entry (i, j)
+    is the number of edges containing both i and j; the diagonal is zero."""
+    rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for m, e in h.edges.items():
-        if len(e) == 0:
-            continue
         for a in range(m):
             for b in range(a + 1, m):
                 rows.append(e[:, a])
                 cols.append(e[:, b])
-    if not rows:
-        return sp.csr_matrix((h.n, h.n), dtype=np.int64)
     r = np.concatenate(rows)
     c = np.concatenate(cols)
-    data = np.ones(len(r), dtype=np.int64)
-    upper = sp.coo_matrix((data, (r, c)), shape=(h.n, h.n)).tocsr()
+    upper = sp.coo_matrix((np.ones(len(r)), (r, c)), shape=(h.n, h.n)).tocsr()
     return upper + upper.T
 
 
 def expected_adjacency(labels, tensors: ProbabilityTensors) -> np.ndarray:
     """Exact mean of the adjacency matrix conditional on the labels."""
     labels = np.asarray(labels, dtype=np.int64)
-    n = len(labels)
     k = tensors.k
     block_counts = np.bincount(labels, minlength=k)
     pair_value = np.zeros((k, k))
     for a in range(k):
         for b in range(a, k):
-            val = 0.0
+            sizes = block_counts.copy()
+            sizes[a] -= 1
+            sizes[b] -= 1
+            if sizes.min() < 0:
+                continue
             for m in tensors.orders:
-                if m < 2:
-                    continue
-                qvals = tensors.q[m]
-                index = composition_index(m, k)
-                sizes = block_counts.copy()
-                sizes[a] -= 1
-                sizes[b] -= 1
-                if sizes.min() < 0:
-                    continue
-                for w in weak_compositions(m - 2, k):
-                    cap = capacity(w, sizes)
-                    if cap:
-                        t = add_member(add_member(w, a), b)
-                        val += cap * qvals[index[t]]
-            pair_value[a, b] = pair_value[b, a] = val
+                if m >= 2:
+                    # the types of the edges holding a given (a, b) pair: every
+                    # type of the other m-2 members, lifted by a and then by b
+                    types = member_lift_table(m, k)[b, member_lift_table(m - 1, k)[a]]
+                    pair_value[a, b] += capacity_vector(m - 2, k, sizes) @ tensors.q[m][types]
+            pair_value[b, a] = pair_value[a, b]
     ea = pair_value[labels[:, None], labels[None, :]]
     np.fill_diagonal(ea, 0.0)
     return ea
@@ -526,6 +515,8 @@ def read_hypergraph(path) -> Hypergraph:
         except (KeyError, ValueError):
             raise ValueError(f"{path}: header must read 'n=<n> orders=<m1,m2,...>', "
                              f"got {header!r}") from None
+        if n < 1 or min(orders, default=2) < 2:
+            raise ValueError(f"{path}: line 1: need n >= 1 and orders >= 2, got {header!r}")
         parts = {m: [] for m in orders}
         line_no = 2
         for block in _line_blocks(fh):
@@ -555,7 +546,10 @@ def read_hypergraph(path) -> Hypergraph:
         canonical = np.all(np.diff(e, axis=1) > 0) and np.all(_row_steps(e) > 0)
         edges[m] = e if canonical else _canonical_edge_array(e, m)
     h = Hypergraph(n=n, edges=edges)
-    h.validate()
+    try:
+        h.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return h
 
 

@@ -58,7 +58,7 @@ def rank_k_approx(a, k: int, tol: float = 1e-8, maxiter: int = 5000) -> LowRankA
         vals, vecs = np.linalg.eigh(dense)
         order = np.argsort(vals)[::-1][:k]
         return LowRankApprox(values=vals[order], vectors=vecs[:, order])
-    mat = a.astype(np.float64) if sp.issparse(a) else np.asarray(a, dtype=float)
+    mat = a.astype(np.float64, copy=False) if sp.issparse(a) else np.asarray(a, dtype=float)
     v0 = np.random.default_rng(START_SEED).uniform(-1.0, 1.0, size=n)
     try:
         vals, vecs = spla.eigsh(mat, k=k, which="LA", tol=tol, maxiter=maxiter, v0=v0)
@@ -106,14 +106,12 @@ def prior_degree_cap(tensors: ProbabilityTensors, n: int) -> float:
 
 
 def trim(a, keep) -> sp.csr_matrix:
-    """Zero the rows and columns outside the keep set."""
-    keep = np.asarray(keep, dtype=bool)
-    if sp.issparse(a):
-        mask = sp.diags(keep, dtype=np.float64)
-        return (mask @ a.tocsr() @ mask).tocsr()
-    out = np.array(a, copy=True)
-    out[~keep, :] = 0
-    out[:, ~keep] = 0
+    """Float64 CSR copy of a sparse matrix without the stored entries in the
+    rows and columns outside the keep set."""
+    drop = ~np.asarray(keep, dtype=bool)
+    out = a.tocsr().astype(np.float64)
+    out.data[np.repeat(drop, np.diff(out.indptr)) | drop[out.indices]] = 0.0
+    out.eliminate_zeros()
     return out
 
 

@@ -61,6 +61,8 @@ def read_hypergraph_lines(path) -> Hypergraph:
         except (KeyError, ValueError):
             raise ValueError(f"{path}: header must read 'n=<n> orders=<m1,m2,...>', "
                              f"got {header!r}") from None
+        if n < 1 or min(orders, default=2) < 2:
+            raise ValueError(f"{path}: line 1: need n >= 1 and orders >= 2, got {header!r}")
         rows = {m: [] for m in orders}
         for line_no, line in enumerate(fh, start=2):
             parts = line.split()
@@ -79,7 +81,10 @@ def read_hypergraph_lines(path) -> Hypergraph:
             rows[m].append(row)
     edges = {m: np.asarray(r, dtype=np.int64).reshape(-1, m) for m, r in rows.items()}
     h = Hypergraph(n=n, edges={m: _canonical_edge_array(e, m) for m, e in edges.items()})
-    h.validate()
+    try:
+        h.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return h
 
 

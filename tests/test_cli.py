@@ -1,5 +1,7 @@
 """Subcommand smoke tests through the argparse entry point."""
 
+import warnings
+
 import pytest
 
 import hypersbm as hs
@@ -124,6 +126,18 @@ def test_bad_input_is_one_line_and_exit_two(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
     assert main(["recover", "--mode", "agnostic", "--input",
                  str(tmp_path / "missing.txt"), "--k", "2"]) == 2
+    # headers out of range and bodies that fail validation name the file
+    for text in ["n=-5 orders=2\n", "n=3 orders=-2\n", "n=0 orders=2\n", "n=3 orders=1\n",
+                 "n=3 orders=2\n2 1 5\n", "n=3 orders=2\n2 2 2\n"]:
+        path.write_text(text)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["recover", "--mode", "agnostic", "--input", str(path),
+                         "--k", "2"]) == 2, text
+        err = capsys.readouterr().err
+        assert err.startswith(f"hypersbm: error: {path}: ") and err.count("\n") == 1, text
+        assert not caught, (text, [str(w.message) for w in caught])
 
 
 def test_bad_vertex_id_is_one_line_and_exit_two(tmp_path, capsys):

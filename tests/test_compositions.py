@@ -143,6 +143,16 @@ def test_capacity_vector_matches_scalar():
     vec = capacity_vector(2, 3, sizes)
     assert vec.dtype == np.float64
     assert vec.tolist() == [float(capacity(w, sizes)) for w in weak_compositions(2, 3)]
+    # bit for bit, with empty communities, communities smaller than a part,
+    # and products far above 2^53 that must be rounded once
+    rng = np.random.default_rng(0)
+    for k in range(1, 13):
+        for m in range(7):
+            sizes = rng.choice([0, 1, 2, 5, 37, 1667, 10**6 + 3], size=k).tolist()
+            want = np.array([float(capacity(w, sizes)) for w in weak_compositions(m, k)])
+            got = capacity_vector(m, k, sizes)
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes(), (m, k, sizes)
 
 
 def test_expected_capacity_vector_matches_scalar():

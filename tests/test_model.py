@@ -222,13 +222,39 @@ def test_adjacency_empty():
     assert hs.adjacency_matrix(h).nnz == 0
 
 
+def _assert_float_canonical_csr(a):
+    assert a.format == "csr" and a.dtype == np.float64
+    assert a.has_canonical_format and np.all(a.data != 0)
+
+
 def test_adjacency_matches_bruteforce_on_random_instances():
     for seed in range(40):
         h, _, _ = random_instance(seed)
-        a = hs.adjacency_matrix(h).toarray()
-        assert np.array_equal(a, brute_force_adjacency(h))
+        adj = hs.adjacency_matrix(h)
+        a = adj.toarray()
+        brute = brute_force_adjacency(h)
+        assert np.array_equal(a, brute)
         assert np.array_equal(a, a.T)
         assert np.all(np.diag(a) == 0)
+        _assert_float_canonical_csr(adj)
+
+        rng = np.random.default_rng(seed)
+        for keep in (rng.random(h.n) < 0.7, np.zeros(h.n, dtype=bool), np.ones(h.n, dtype=bool)):
+            trimmed = hs.trim(adj, keep)
+            _assert_float_canonical_csr(trimmed)
+            assert np.array_equal(trimmed.toarray(), brute * np.outer(keep, keep))
+
+        # rows in any order, vertices in any order within a row
+        shuffled = hs.adjacency_matrix(Hypergraph(h.n, {
+            m: rng.permutation(e)[:, rng.permutation(m)] for m, e in h.edges.items()}))
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(shuffled, name), getattr(adj, name)), name
+
+        # relabelling vertex i as pi[i] gives P A P^T
+        pi = rng.permutation(h.n)
+        relabelled = hs.adjacency_matrix(
+            make_hypergraph(h.n, {m: pi[e] for m, e in h.edges.items()})).toarray()
+        assert np.array_equal(relabelled[np.ix_(pi, pi)], a)
 
 
 # ---------------------------------------------------------------------------
