@@ -200,12 +200,27 @@ def _row_steps(e: np.ndarray) -> np.ndarray:
 
 
 def _canonical_edge_array(rows: np.ndarray, m: int) -> np.ndarray:
-    """Sort vertices within rows, then rows lexicographically."""
+    """Sort vertices within rows, then rows lexicographically.
+
+    Rows of distinct ids in 0..top sort by one int64 key, the negated colex
+    rank of the reflected row ``top - row``, which orders m-subsets exactly
+    as lexicographic order does.  The m-key lexsort is kept where that key
+    cannot be used: a negative or repeated id in a row, a rank that could
+    reach 2**63, or a top id above the row count (the key's tables are never
+    larger than the rows).
+    """
     if len(rows) == 0:
         return np.empty((0, m), dtype=np.int64)
     rows = np.sort(np.asarray(rows, dtype=np.int64), axis=1)
-    order = np.lexsort(rows.T[::-1])
-    return rows[order]
+    top = int(rows[:, -1].max())
+    if (rows[:, 0].min() < 0 or top >= len(rows) or math.comb(top + 1, m) >= 2**63
+            or np.any(rows[:, 1:] == rows[:, :-1])):
+        return rows[np.lexsort(rows.T[::-1])]
+    tables = _binomial_tables(top, m)
+    key = np.zeros(len(rows), dtype=np.int64)
+    for j in range(m):
+        key -= tables[m - j, top - rows[:, j]]
+    return rows[np.argsort(key)]
 
 
 def make_hypergraph(n: int, edges: dict) -> Hypergraph:
@@ -244,52 +259,82 @@ def sample_membership(n: int, alpha, seed=None, exact_sizes: bool = False) -> np
     return labels.astype(np.int64)
 
 
-# Largest composition-class size the stratified sampler will handle; int64
-# rank arithmetic is exact below this (desk scale n <= 5000, m <= 4 is far
-# below it).
+# Largest composition-class size the stratified sampler will handle: class
+# ranks, and the binomial table entries they are decoded with, stay exact in
+# int64 below it.  At n = 1e5 the largest class of an order-4 layer with one
+# community is C(1e5, 4) ~ 4.2e18, just under it.
 MAX_CLASS_SIZE = 2**62
 
 
-def _binomial_table(max_n: int, k: int) -> np.ndarray:
-    """C(j, k) for j = 0..max_n."""
-    return np.array([math.comb(j, k) for j in range(max_n + 1)], dtype=np.int64)
+def _binomial_tables(max_n: int, k: int) -> np.ndarray:
+    """C(j, i) at [i, j] for i = 0..k and j = 0..max_n, by Pascal's rule as
+    running sums of the previous row.  An entry is exact whenever C(j, i)
+    < 2**63: int64 sums wrap modulo 2**64, so an overflow in a larger entry
+    does not reach it."""
+    tables = np.zeros((k + 1, max_n + 1), dtype=np.int64)
+    tables[0] = 1
+    for i in range(1, k + 1):
+        np.cumsum(tables[i - 1, :-1], out=tables[i, 1:])
+    return tables
 
 
-def _unrank_combinations(ranks: np.ndarray, s: int, k: int) -> np.ndarray:
-    """Decode combination ranks into k-subsets of range(s), colex order.
+def _unrank_combinations(ranks: np.ndarray, tables: np.ndarray, k: int) -> np.ndarray:
+    """Decode combination ranks into k-subsets of range(s), colex order, with
+    ``tables = _binomial_tables(s - 1, k)`` (or more rows).
 
     A combination c_1 < ... < c_k has rank sum_i C(c_i, i); decoding finds
     the largest feasible c_i at each level.  Vectorized over ranks.
     """
     out = np.empty((len(ranks), k), dtype=np.int64)
     rem = ranks.astype(np.int64)
-    for i in range(k, 0, -1):
-        table = _binomial_table(s - 1, i)
-        c = np.searchsorted(table, rem, side="right") - 1
+    for i in range(k, 1, -1):
+        c = np.searchsorted(tables[i], rem, side="right") - 1
         out[:, i - 1] = c
-        rem = rem - table[c]
+        rem -= tables[i, c]
+    out[:, 0] = rem  # C(c, 1) = c
     return out
 
 
 def _sample_distinct(rng: np.random.Generator, total: int, count: int) -> np.ndarray:
-    """Uniform random subset of ``count`` distinct integers from range(total)."""
+    """Uniform random subset of ``count`` distinct integers from range(total),
+    in ascending order.
+
+    Above 4M candidates this is rejection sampling: batches of
+    max(count - found, 1024) draws, each value kept at its first appearance,
+    until ``count`` are found.  Only a final batch of 1024 can overshoot; it
+    contributes its new values in the order they were drawn.  Duplicates carry
+    no information, so the result is a uniform subset, and it depends only on
+    the draws.  The deduplication sorts and binary-searches on purpose:
+    numpy's ``unique``/``isin``/``union1d`` take a hash-based path on large
+    int64 arrays (numpy 2.x), which measured slower than a per-element Python
+    dict loop on these draws.
+    """
     if count > total:
         raise ValueError("cannot draw more distinct values than exist")
     if count == total:
         return np.arange(total, dtype=np.int64)
     if total <= 4_000_000:
-        return rng.choice(total, size=count, replace=False).astype(np.int64)
-    # Rejection sampling: keep first-appearance order and truncate, which is
-    # distributionally a uniform subset since duplicates carry no information.
-    seen = {}
-    while len(seen) < count:
-        batch = rng.integers(0, total, size=max(count - len(seen), 1024))
-        for v in batch:
-            if v not in seen:
-                seen[int(v)] = None
-                if len(seen) == count:
-                    break
-    return np.fromiter(seen.keys(), dtype=np.int64, count=count)
+        return np.sort(rng.choice(total, size=count, replace=False).astype(np.int64))
+    found = np.empty(0, dtype=np.int64)
+    while len(found) < count:
+        need = count - len(found)
+        batch = rng.integers(0, total, size=max(need, 1024))
+        if len(batch) > need:
+            # a final batch that may overshoot: a stable sort puts each run of
+            # equal values in draw order, so draw positions stay recoverable
+            order = np.argsort(batch, kind="stable")
+            values = batch[order]
+        else:
+            order, values = None, np.sort(batch)
+        new = np.ones(len(values), dtype=bool)
+        new[1:] = values[1:] != values[:-1]
+        pos = np.searchsorted(found, values)
+        if len(found):
+            new &= found[np.minimum(pos, len(found) - 1)] != values
+        if order is not None and new.sum() > need:
+            new &= order <= np.sort(order[new])[need - 1]
+        found = np.insert(found, pos[new], values[new])
+    return found
 
 
 def sample_hypergraph(n: int, labels, tensors: ProbabilityTensors, seed=None) -> Hypergraph:
@@ -309,6 +354,7 @@ def sample_hypergraph(n: int, labels, tensors: ProbabilityTensors, seed=None) ->
     rng = np.random.default_rng(seed)
     blocks = [np.flatnonzero(labels == l) for l in range(k)]
     sizes = [len(b) for b in blocks]
+    tables = [_binomial_tables(s - 1, tensors.max_order) for s in sizes]
     edges = {}
     for m in tensors.orders:
         qvals = tensors.q[m]
@@ -334,7 +380,7 @@ def sample_hypergraph(n: int, labels, tensors: ProbabilityTensors, seed=None) ->
                     continue
                 radix = math.comb(sizes[l], w[l])
                 rem, digit = np.divmod(rem, radix)
-                local = _unrank_combinations(digit, sizes[l], w[l])
+                local = _unrank_combinations(digit, tables[l], w[l])
                 parts[:, col:col + w[l]] = blocks[l][local]
                 col += w[l]
             chunks.append(parts)
@@ -504,6 +550,17 @@ def _tokenize(block: str) -> _Tokens:
                    first=np.cumsum(counts) - counts, counts=counts, bad=bad)
 
 
+def _repeated_ids(rows: np.ndarray) -> np.ndarray:
+    """Per row, the smallest id that appears in it more than once, or -1."""
+    out = np.full(len(rows), -1, dtype=np.int64)
+    loose = np.flatnonzero(np.any(rows[:, 1:] <= rows[:, :-1], axis=1))
+    ids = np.sort(rows[loose], axis=1)
+    twice = ids[:, 1:] == ids[:, :-1]
+    first = twice.argmax(axis=1)
+    out[loose] = np.where(twice.any(axis=1), ids[np.arange(len(ids)), first], -1)
+    return out
+
+
 def read_hypergraph(path) -> Hypergraph:
     """Parse and validate the hypergraph text format."""
     with open(path) as fh:
@@ -526,7 +583,14 @@ def read_hypergraph(path) -> Hypergraph:
             bad = tok.bad[lines]
             undeclared = ~np.isin(m, orders)
             wrong_length = tok.counts[lines] != m + 1
-            errors = np.flatnonzero(bad | undeclared | wrong_length)
+            malformed = bad | undeclared | wrong_length
+            ids = {}
+            repeated = np.full(len(lines), -1, dtype=np.int64)
+            for order in parts:
+                sel = np.flatnonzero(~malformed & (m == order))
+                ids[order] = tok.values[tok.first[lines[sel]][:, None] + np.arange(1, order + 1)]
+                repeated[sel] = _repeated_ids(ids[order])
+            errors = np.flatnonzero(malformed | (repeated >= 0))
             if len(errors):
                 i = errors[0]
                 where = f"{path}: line {line_no + lines[i]}"
@@ -535,10 +599,12 @@ def read_hypergraph(path) -> Hypergraph:
                                      f"integers, got {tok.line(lines[i])!r}")
                 if undeclared[i]:
                     raise ValueError(f"{where}: order {m[i]} not declared in header")
-                raise ValueError(f"{where}: expected {m[i]} vertex ids")
+                if wrong_length[i]:
+                    raise ValueError(f"{where}: expected {m[i]} vertex ids")
+                raise ValueError(f"{where}: vertex id {repeated[i]} repeated, "
+                                 f"got {tok.line(lines[i])!r}")
             for order, rows in parts.items():
-                first = tok.first[lines[m == order]]
-                rows.append(tok.values[first[:, None] + np.arange(1, order + 1)] - 1)
+                rows.append(ids[order] - 1)
             line_no += len(tok.counts)
     edges = {}
     for m, rows in parts.items():

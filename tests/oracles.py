@@ -7,7 +7,7 @@ from itertools import permutations
 import numpy as np
 
 from hypersbm.compositions import composition_index, weak_compositions
-from hypersbm.model import Hypergraph, _canonical_edge_array, adjacency_matrix
+from hypersbm.model import Hypergraph, adjacency_matrix
 from hypersbm.pipeline import CommunityCountEstimate, confusion_matrix
 from hypersbm.spectral import rank_k_approx
 
@@ -25,6 +25,31 @@ def type_counts_bruteforce(h, labels, v: int, k: int) -> dict:
             vec[index[tuple(np.bincount(labels[others], minlength=k))]] += 1
         counts[m] = vec
     return counts
+
+
+def canonical_edge_array_lexsort(rows, m: int) -> np.ndarray:
+    """Sort vertices within rows, then rows lexicographically with an m-key
+    lexsort (the reference for model._canonical_edge_array)."""
+    if len(rows) == 0:
+        return np.empty((0, m), dtype=np.int64)
+    rows = np.sort(np.asarray(rows, dtype=np.int64), axis=1)
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def sample_distinct_dict(rng, total: int, count: int) -> np.ndarray:
+    """Rejection sampling one value at a time through a dict: batches of
+    max(count - found, 1024) draws, each value kept at its first appearance,
+    stopping at ``count`` (the reference for model._sample_distinct above its
+    4M-candidate cutoff).  Returns the values in order of first appearance."""
+    seen = {}
+    while len(seen) < count:
+        batch = rng.integers(0, total, size=max(count - len(seen), 1024))
+        for v in batch:
+            if v not in seen:
+                seen[int(v)] = None
+                if len(seen) == count:
+                    break
+    return np.fromiter(seen.keys(), dtype=np.int64, count=count)
 
 
 def mismatch_ratio_bruteforce(truth, estimate, k: int) -> float:
@@ -78,9 +103,14 @@ def read_hypergraph_lines(path) -> Hypergraph:
                 raise ValueError(f"{path}: line {line_no}: order {m} not declared in header")
             if len(parts) != m + 1:
                 raise ValueError(f"{path}: line {line_no}: expected {m} vertex ids")
+            if len(set(row)) < m:
+                v = min(v for v in row if row.count(v) > 1)
+                raise ValueError(f"{path}: line {line_no}: vertex id {v + 1} repeated, "
+                                 f"got {line.strip()!r}")
             rows[m].append(row)
     edges = {m: np.asarray(r, dtype=np.int64).reshape(-1, m) for m, r in rows.items()}
-    h = Hypergraph(n=n, edges={m: _canonical_edge_array(e, m) for m, e in edges.items()})
+    h = Hypergraph(n=n, edges={m: canonical_edge_array_lexsort(e, m)
+                               for m, e in edges.items()})
     try:
         h.validate()
     except ValueError as exc:

@@ -150,6 +150,25 @@ def test_bad_vertex_id_is_one_line_and_exit_two(tmp_path, capsys):
                    "order and vertex ids must be integers, got '2 1 x'\n")
 
 
+def test_repeated_vertex_names_the_line(tmp_path, capsys):
+    path = tmp_path / "h.txt"
+    path.write_text("n=3 orders=3\n3 1 2 3\n3 2 2 2\n")
+    assert main(["recover", "--mode", "agnostic", "--input", str(path), "--k", "2"]) == 2
+    assert capsys.readouterr().err == (f"hypersbm: error: {path}: line 3: "
+                                       "vertex id 2 repeated, got '3 2 2 2'\n")
+
+
+def test_vertex_id_zero_is_out_of_range(tmp_path, capsys):
+    # ids are 1-based in files, so 0 is stored as -1 and fails validation,
+    # whether or not the rows need sorting first
+    path = tmp_path / "h.txt"
+    for body in ["2 0 1\n", "2 2 3\n2 0 1\n", "2 2 3\n2 1 3\n2 0 1\n"]:
+        path.write_text("n=3 orders=2\n" + body)
+        assert main(["recover", "--mode", "agnostic", "--input", str(path), "--k", "2"]) == 2
+        assert capsys.readouterr().err == (f"hypersbm: error: {path}: order 2: "
+                                           "vertex id out of range\n"), body
+
+
 def test_overlong_number_is_one_line_and_exit_two(config_path, tmp_path, capsys):
     # 20 digits do not fit in int64; the readers name the line instead
     path = tmp_path / "h.txt"

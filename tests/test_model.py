@@ -1,6 +1,8 @@
 """Sampling, adjacency, per-vertex type counts, and the text formats."""
 
+import hashlib
 import itertools
+import math
 import re
 
 import numpy as np
@@ -12,7 +14,13 @@ import hypersbm as hs
 from hypersbm import model
 from hypersbm.compositions import composition_index
 from hypersbm.model import Hypergraph, make_hypergraph
-from oracles import read_hypergraph_lines, read_membership_lines, type_counts_bruteforce
+from oracles import (
+    canonical_edge_array_lexsort,
+    read_hypergraph_lines,
+    read_membership_lines,
+    sample_distinct_dict,
+    type_counts_bruteforce,
+)
 
 
 def two_block_tensors(n, a, b, orders=(2,)):
@@ -155,17 +163,32 @@ def test_probability_validation():
 def test_unranking_is_a_bijection():
     # oracle: explicit enumeration of all k-subsets
     from math import comb
-    from hypersbm.model import _unrank_combinations
+    from hypersbm.model import _binomial_tables, _unrank_combinations
 
     for s in (3, 5, 8, 12):
         for k in (1, 2, 3, 4):
             if k > s:
                 continue
-            decoded = _unrank_combinations(np.arange(comb(s, k)), s, k)
+            decoded = _unrank_combinations(np.arange(comb(s, k)), _binomial_tables(s - 1, k), k)
             assert np.all(np.diff(decoded, axis=1) > 0)
             got = {tuple(r) for r in decoded}
             expected = {c for c in itertools.combinations(range(s), k)}
             assert got == expected
+
+
+def test_binomial_tables_are_exact_below_int64_overflow():
+    from hypersbm.model import _binomial_tables
+
+    small = _binomial_tables(40, 6)
+    assert small.tolist() == [[math.comb(j, i) for j in range(41)] for i in range(7)]
+    # C(129999, 4) ~ 1.2e19 wraps, but every entry below 2**63 stays exact
+    big = _binomial_tables(129_999, 4)
+    for j in (3, 4, 1000, 97_000, 110_000, 129_999):
+        for i in range(5):
+            if math.comb(j, i) < 2**63:
+                assert big[i, j] == math.comb(j, i), (i, j)
+    assert math.comb(129_999, 4) >= 2**63
+    assert _binomial_tables(-1, 3).shape == (4, 0)
 
 
 def test_distinct_sampling_rejection_path():
@@ -178,6 +201,165 @@ def test_distinct_sampling_rejection_path():
     assert out.min() >= 0 and out.max() < total
     again = _sample_distinct(np.random.default_rng(0), total, 5000)
     assert np.array_equal(out, again)
+
+
+@pytest.mark.parametrize("total, count, seed", [
+    (5_000_000, 4_500_000, 3),  # dense: dozens of batches
+    (5_000_000, 5000, 11),      # see test_rejection_cases_overshoot
+    (4_000_001, 3000, 1),
+    (10**12, 20000, 2),
+])
+def test_distinct_sampling_matches_dict_oracle(total, count, seed):
+    from hypersbm.model import _sample_distinct
+
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _sample_distinct(rng, total, count)
+    want = sample_distinct_dict(oracle_rng, total, count)
+    assert got.dtype == np.int64 and np.array_equal(got, np.sort(want))
+    # the same draws were made, so the stream continues identically
+    assert rng.integers(2**62) == oracle_rng.integers(2**62)
+
+
+def test_distinct_sampling_is_sorted_below_rejection_cutoff():
+    from hypersbm.model import _sample_distinct
+
+    out = _sample_distinct(np.random.default_rng(4), 1000, 300)
+    assert np.all(np.diff(out) > 0) and out.min() >= 0 and out.max() < 1000
+    assert np.array_equal(_sample_distinct(np.random.default_rng(4), 7, 7), np.arange(7))
+
+
+def _distinct_id_rows(rng, top, size, m):
+    """``size`` rows of m distinct ids in 0..top, each row shuffled."""
+    rows = np.sort(rng.integers(0, top + 1 - m, size=(size, m)), axis=1) + np.arange(m)
+    return rng.permuted(rows, axis=1)
+
+
+@pytest.mark.parametrize("case", ["random", "duplicate_rows", "repeated_ids", "key_overflow",
+                                  "few_rows_large_top", "negative", "empty", "one_row"])
+def test_canonical_edge_array_matches_lexsort_oracle(case):
+    from hypersbm.model import _canonical_edge_array
+
+    rng = np.random.default_rng(5)
+    m = 4
+    if case == "random":
+        rows = _distinct_id_rows(rng, 2000, 30000, m)
+    elif case == "duplicate_rows":
+        rows = _distinct_id_rows(rng, 40, 5000, m)
+        rows = np.vstack([rows, rows[::-3]])
+    elif case == "repeated_ids":
+        rows = rng.integers(0, 2000, size=(30000, m))
+    elif case == "key_overflow":
+        # C(top + 1, 4) >= 2**63 with more rows than ids: only the key's range
+        # rules out the int64 key
+        rows = _distinct_id_rows(rng, 200_000, 250_000, m)
+        assert math.comb(int(rows.max()) + 1, m) >= 2**63
+    elif case == "few_rows_large_top":
+        rows = np.array([[10**12, 5, 7, 9], [3, 10**12 - 1, 2, 1], [8, 6, 4, 10**9]])
+    elif case == "negative":
+        rows = _distinct_id_rows(rng, 300, 3000, m) - 1
+    elif case == "empty":
+        rows = np.empty((0, m), dtype=np.int64)
+    else:
+        rows = np.array([[4, 0, 2, 1]])
+    got = _canonical_edge_array(rows, m)
+    want = canonical_edge_array_lexsort(rows, m)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_canonical_edge_array_sizes_tables_by_rows(monkeypatch):
+    # a bad large id in a short edge list must not size the key's tables
+    real, sizes = model._binomial_tables, []
+
+    def tables(max_n, k):
+        sizes.append(max_n)
+        assert max_n < 1000, "tables larger than the rows"
+        return real(max_n, k)
+
+    monkeypatch.setattr(model, "_binomial_tables", tables)
+    rows = np.array([[10**9, 5], [3, 7], [8, 6]])
+    assert math.comb(10**9 + 1, 2) < 2**63
+    assert np.array_equal(model._canonical_edge_array(rows, 2), canonical_edge_array_lexsort(rows, 2))
+    rows = _distinct_id_rows(np.random.default_rng(1), 50, 200, 3)
+    assert np.array_equal(model._canonical_edge_array(rows, 3), canonical_edge_array_lexsort(rows, 3))
+    assert sizes == [int(rows.max())]
+
+
+def _edge_digest(h):
+    digest = hashlib.sha256()
+    for m in h.orders:
+        e = np.ascontiguousarray(h.edges[m], dtype="<i8")
+        digest.update(f"{m}:{len(e)}:".encode())
+        digest.update(e.tobytes())
+    return digest.hexdigest()
+
+
+def _two_level_sample(n, k, within, cross, label_seed, edge_seed):
+    coeffs = hs.two_level_coefficients(k, within, cross)
+    tensors = hs.ProbabilityTensors.from_unscaled(k, coeffs, n)
+    labels = hs.sample_membership(n, [1.0 / k] * k, seed=label_seed)
+    return hs.sample_hypergraph(n, labels, tensors, seed=edge_seed)
+
+
+# Sampled edges pinned per seed.  A change to the sampler that keeps these
+# digests draws the same random stream and realizes the same edges.
+GOLDEN_SAMPLES = {
+    # k=2 and k=4, orders 2-4; both have classes above 4M candidates (the
+    # mixed order-4 types), so both sampling paths run
+    "k2": (lambda: _two_level_sample(200, 2, {2: 12.0, 3: 14.0, 4: 10.0},
+                                     {2: 2.0, 3: 3.0, 4: 2.0}, 1, 2),
+           {2: 3697, 3: 2089, 4: 756},
+           "48303372797bb7630dfe2bbd6a52b6858a9e0e18d7df1827a39489d51fad2fcb"),
+    "k4": (lambda: _two_level_sample(400, 4, {2: 12.0, 3: 14.0, 4: 10.0},
+                                     {2: 1.0, 3: 1.5, 4: 1.0}, 3, 4),
+           {2: 4433, 3: 1893, 4: 710},
+           "4fae9e757996fd140fe65185c9dbeb2a38cb28ce8c7e270bffb732dad4976542"),
+    # one class of C(3000, 2) = 4,498,500 > 4M candidates whose final
+    # 1024-batch overshoots (see test_rejection_cases_overshoot)
+    "rejection": (lambda: hs.sample_hypergraph(
+                      3000, np.zeros(3000, dtype=int),
+                      hs.ProbabilityTensors(k=1, q={2: np.array([5000 / 4498500])}), seed=11),
+                  {2: 4951},
+                  "9dfa64e22527fa26c040b351d001a5440fca31b16b73f27055aab9dccbc4b216"),
+    # types with q = 1 take every candidate (count == cap)
+    "certain": (lambda: hs.sample_hypergraph(
+                    40, np.repeat([0, 1], 20),
+                    hs.ProbabilityTensors(k=2, q={2: np.array([1.0, 0.1, 1.0]),
+                                                  3: np.array([0.0, 1.0, 0.05, 0.0])}),
+                    seed=6),
+                {2: 416, 3: 4011},
+                "50d5ac12e8c94bc1aab417767ece7f96b075302e25ae0c08bcc5b699359cbe9c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SAMPLES))
+def test_sampled_edges_match_golden_digest(name):
+    sample, counts, digest = GOLDEN_SAMPLES[name]
+    h = sample()
+    h.validate()
+    assert {m: h.num_edges(m) for m in h.orders} == counts
+    assert _edge_digest(h) == digest
+
+
+def test_rejection_cases_overshoot():
+    # in the (5M, 5000, seed 11) oracle case and in the golden "rejection"
+    # sample, the first batch holds duplicates, so a 1024-batch follows of
+    # which only some new values are kept
+    first = np.random.default_rng(11).integers(0, 5_000_000, size=5000)
+    assert 0 < 5000 - len(np.unique(first)) < 1024
+    cap = math.comb(3000, 2)
+    rng = np.random.default_rng(11)
+    count = int(rng.binomial(cap, 5000 / 4498500))
+    first = rng.integers(0, cap, size=count)
+    assert cap > 4_000_000 and 0 < count - len(np.unique(first)) < 1024
+
+
+def test_class_above_sampler_limit_raises_before_any_table_lookup():
+    # C(130000, 4) ~ 1.2e19 > MAX_CLASS_SIZE; its binomial table wraps int64
+    n = 130_000
+    assert math.comb(n, 4) > model.MAX_CLASS_SIZE
+    tensors = hs.ProbabilityTensors(k=1, q={4: np.array([1e-18])})
+    with pytest.raises(ValueError, match=r"type \(4,\): class size .* exceeds the sampler limit"):
+        hs.sample_hypergraph(n, np.zeros(n, dtype=int), tensors, seed=0)
 
 
 def test_sampler_accepts_generator_seeds():
