@@ -6,9 +6,7 @@ Monte Carlo experiment harness.
 """
 
 from .compositions import (
-    add_member,
     capacity,
-    expected_capacity,
     num_weak_compositions,
     weak_compositions,
 )
@@ -43,8 +41,6 @@ from .model import (
     Hypergraph,
     ProbabilityTensors,
     adjacency_matrix,
-    expected_adjacency,
-    expected_degrees_by_community,
     make_hypergraph,
     max_expected_degree,
     read_hypergraph,

@@ -100,7 +100,7 @@ def _cmd_recover(args) -> int:
 
 def _cmd_estimate_k(args) -> int:
     h = read_hypergraph(args.input)
-    est = estimate_num_communities(h, full_spectrum=args.full_spectrum)
+    est = estimate_num_communities(h, num_eigenvalues=args.num_eigenvalues)
     print(f"estimated communities: {est.k_hat}")
     print(f"degree threshold:      {est.threshold:.6g}")
     # the values that decide k_hat; deeper ones may be loose lower bounds
@@ -160,14 +160,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate-k", help="estimate the number of communities")
     p.add_argument("--input", required=True)
-    p.add_argument("--full-spectrum", action="store_true")
+    p.add_argument("--num-eigenvalues", type=int, metavar="N",
+                   help="eigenvalues to compute (default: ceil(log n) + 5)")
     p.set_defaults(func=_cmd_estimate_k)
 
     p = sub.add_parser("phase", help="Monte Carlo sweep to CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--out")
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel trial processes (default: HYPERSBM_WORKERS or 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="parallel trial processes (default: 1)")
     p.set_defaults(func=_cmd_phase)
     return parser
 

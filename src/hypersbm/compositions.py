@@ -39,21 +39,16 @@ def num_weak_compositions(m: int, k: int) -> int:
     return comb(m + k - 1, k - 1)
 
 
-@lru_cache(maxsize=None)
-def composition_index(m: int, k: int) -> dict:
-    """Map composition tuple -> its position in the canonical order."""
-    return {w: i for i, w in enumerate(weak_compositions(m, k))}
-
-
-def add_member(w: tuple, label: int) -> tuple:
-    """Composition w with one extra member of community ``label`` (0-based).
-
-    This is the edge type seen from a vertex of that community: the counts
-    of the other members plus the vertex itself.
-    """
-    if not 0 <= label < len(w):
-        raise ValueError(f"label {label} out of range for {len(w)} communities")
-    return w[:label] + (w[label] + 1,) + w[label + 1:]
+def _binomial_tables(max_n: int, k: int) -> np.ndarray:
+    """C(j, i) at [i, j] for i = 0..k and j = 0..max_n, by Pascal's rule as
+    running sums of the previous row.  An entry is exact whenever C(j, i)
+    < 2**63: int64 sums wrap modulo 2**64, so an overflow in a larger entry
+    does not reach it."""
+    tables = np.zeros((k + 1, max_n + 1), dtype=np.int64)
+    tables[0] = 1
+    for i in range(1, k + 1):
+        np.cumsum(tables[i - 1, :-1], out=tables[i, 1:])
+    return tables
 
 
 def composition_rank(counts, m: int) -> np.ndarray:
@@ -66,12 +61,11 @@ def composition_rank(counts, m: int) -> np.ndarray:
     """
     counts = np.asarray(counts, dtype=np.int64)
     k = counts.shape[-1]
-    table = np.array([[comb(a, b) for b in range(k)] for a in range(m + k - 1)],
-                     dtype=np.int64)
+    tables = _binomial_tables(m + k - 2, k - 1)
     rank = np.zeros(counts.shape[:-1], dtype=np.int64)
     left = np.full(counts.shape[:-1], m, dtype=np.int64)
     for l in range(k - 1):
-        rank += table[left - counts[..., l] + k - l - 2, k - l - 1]
+        rank += tables[k - l - 1, left - counts[..., l] + k - l - 2]
         left -= counts[..., l]
     return rank
 
@@ -81,7 +75,8 @@ def member_lift_table(m: int, k: int) -> np.ndarray:
     """Index table lifting order-(m-1) types to order-m types.
 
     Entry [label, i] is the canonical index (within weak_compositions(m, k))
-    of add_member(w_i, label), where w_i is the i-th composition of m-1.
+    of the i-th composition of m-1 with one more member of community
+    ``label``: the edge type seen from a vertex of that community.
     Precomputed so per-vertex likelihood sums reduce to array gathers.
     """
     lower = np.array(weak_compositions(m - 1, k), dtype=np.int64)
@@ -113,11 +108,6 @@ def capacity(w: tuple, sizes) -> int:
     return total
 
 
-def expected_capacity(w: tuple, alpha, n: int) -> int:
-    """Capacity of type w under idealized community sizes floor(alpha_l * n)."""
-    return capacity(w, [int(a * n) for a in alpha])
-
-
 def capacity_vector(m: int, k: int, sizes) -> np.ndarray:
     """capacity for every composition of m into k parts, as floats: exact
     products of Python-int binomials, each rounded once as in ``capacity``."""
@@ -128,7 +118,7 @@ def capacity_vector(m: int, k: int, sizes) -> np.ndarray:
 
 
 def expected_capacity_vector(m: int, k: int, alpha, n: int) -> np.ndarray:
-    """expected_capacity for every composition of m into k parts, as floats."""
+    """capacity_vector under idealized community sizes floor(alpha_l * n)."""
     return capacity_vector(m, k, [int(a * n) for a in alpha])
 
 

@@ -6,7 +6,6 @@ is one CSV row.  Per-trial seeds are ``base_seed + trial_index`` by
 contract, so sweeps can be sharded across processes and reproduced exactly.
 """
 
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -24,8 +23,6 @@ from .model import (
 )
 from .compositions import weak_compositions
 from .pipeline import agnostic_partition, partition_with_prior
-
-WORKERS_ENV = "HYPERSBM_WORKERS"
 
 CSV_COLUMNS = ("point_id", "n", "seed", "d_gch", "verdict",
                "eta_stage1", "eta_final", "iters", "wall_ms")
@@ -169,6 +166,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if "n" not in scalars:
         raise ValueError("config lacks the required key n")
     k = int(scalars.get("k", 2))
+    if k < 1:
+        raise ValueError(f"need k >= 1 communities, got k={k}")
     alpha = (tuple(float(t) for t in scalars["alpha"].split(","))
              if "alpha" in scalars else tuple([1.0 / k] * k))
     return ExperimentConfig(
@@ -291,15 +290,13 @@ def _run_trial_job(args):
     return run_trial(config, point, seed)
 
 
-def phase_sweep(config: ExperimentConfig, workers: int = None):
+def phase_sweep(config: ExperimentConfig, workers: int = 1):
     """Run every (point, trial) job and aggregate exact-recovery rates.
 
     Trial t of every point uses seed ``config.seed + t``.  With workers > 1
     jobs run in separate processes; results are ordered by (point, trial)
     either way, so the output is identical to a sequential run.
     """
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
     points = grid_points(config)
     jobs = [(config, point, config.seed + t)
             for point in points for t in range(config.trials)]

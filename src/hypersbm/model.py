@@ -17,9 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .compositions import (
+    _binomial_tables,
     capacity,
-    capacity_vector,
-    composition_index,
     expected_capacity_vector,
     member_lift_table,
     weak_compositions,
@@ -89,10 +88,6 @@ class ProbabilityTensors:
     @property
     def max_order(self) -> int:
         return max(self.q)
-
-    def value(self, m: int, w: tuple) -> float:
-        """Probability for an order-m edge of type w."""
-        return float(self.q[m][composition_index(m, self.k)[w]])
 
     def unscaled(self, m: int) -> np.ndarray:
         """Coefficient array for order m (q recovered via the log(n) scaling)."""
@@ -236,27 +231,13 @@ def make_hypergraph(n: int, edges: dict) -> Hypergraph:
 # Sampling
 # ---------------------------------------------------------------------------
 
-def sample_membership(n: int, alpha, seed=None, exact_sizes: bool = False) -> np.ndarray:
-    """Community labels for n vertices.
-
-    Default: iid draws from the prior.  With ``exact_sizes`` the community
-    sizes are pinned to floor(alpha_l * n) (leftover vertices go to the
-    communities with the largest fractional parts) and positions shuffled.
-    """
+def sample_membership(n: int, alpha, seed=None) -> np.ndarray:
+    """Community labels for n vertices, drawn iid from the prior."""
     alpha = validate_prior(alpha)
     if n < 1:
         raise ValueError("need n >= 1")
     rng = np.random.default_rng(seed)
-    k = len(alpha)
-    if not exact_sizes:
-        return rng.choice(k, size=n, p=alpha).astype(np.int64)
-    sizes = np.floor(alpha * n).astype(int)
-    frac = alpha * n - sizes
-    for l in np.argsort(-frac, kind="stable")[: n - sizes.sum()]:
-        sizes[l] += 1
-    labels = np.repeat(np.arange(k), sizes)
-    rng.shuffle(labels)
-    return labels.astype(np.int64)
+    return rng.choice(len(alpha), size=n, p=alpha).astype(np.int64)
 
 
 # Largest composition-class size the stratified sampler will handle: class
@@ -264,18 +245,6 @@ def sample_membership(n: int, alpha, seed=None, exact_sizes: bool = False) -> np
 # int64 below it.  At n = 1e5 the largest class of an order-4 layer with one
 # community is C(1e5, 4) ~ 4.2e18, just under it.
 MAX_CLASS_SIZE = 2**62
-
-
-def _binomial_tables(max_n: int, k: int) -> np.ndarray:
-    """C(j, i) at [i, j] for i = 0..k and j = 0..max_n, by Pascal's rule as
-    running sums of the previous row.  An entry is exact whenever C(j, i)
-    < 2**63: int64 sums wrap modulo 2**64, so an overflow in a larger entry
-    does not reach it."""
-    tables = np.zeros((k + 1, max_n + 1), dtype=np.int64)
-    tables[0] = 1
-    for i in range(1, k + 1):
-        np.cumsum(tables[i - 1, :-1], out=tables[i, 1:])
-    return tables
 
 
 def _unrank_combinations(ranks: np.ndarray, tables: np.ndarray, k: int) -> np.ndarray:
@@ -408,48 +377,18 @@ def adjacency_matrix(h: Hypergraph) -> sp.csr_matrix:
     return upper + upper.T
 
 
-def expected_adjacency(labels, tensors: ProbabilityTensors) -> np.ndarray:
-    """Exact mean of the adjacency matrix conditional on the labels."""
-    labels = np.asarray(labels, dtype=np.int64)
-    k = tensors.k
-    block_counts = np.bincount(labels, minlength=k)
-    pair_value = np.zeros((k, k))
-    for a in range(k):
-        for b in range(a, k):
-            sizes = block_counts.copy()
-            sizes[a] -= 1
-            sizes[b] -= 1
-            if sizes.min() < 0:
-                continue
-            for m in tensors.orders:
-                if m >= 2:
-                    # the types of the edges holding a given (a, b) pair: every
-                    # type of the other m-2 members, lifted by a and then by b
-                    types = member_lift_table(m, k)[b, member_lift_table(m - 1, k)[a]]
-                    pair_value[a, b] += capacity_vector(m - 2, k, sizes) @ tensors.q[m][types]
-            pair_value[b, a] = pair_value[a, b]
-    ea = pair_value[labels[:, None], labels[None, :]]
-    np.fill_diagonal(ea, 0.0)
-    return ea
-
-
-def expected_degrees_by_community(tensors: ProbabilityTensors, alpha, n: int) -> np.ndarray:
-    """Expected incident-edge count for a vertex of each community, using
-    idealized community sizes floor(alpha_l * n)."""
+def max_expected_degree(tensors: ProbabilityTensors, alpha, n: int) -> float:
+    """Largest expected incident-edge count over communities (the model's
+    degree scale), using idealized community sizes floor(alpha_l * n)."""
     alpha = validate_prior(alpha)
     k = tensors.k
-    out = np.zeros(k)
+    degrees = np.zeros(k)
     for m in tensors.orders:
         caps = expected_capacity_vector(m - 1, k, alpha, n)
         lift = member_lift_table(m, k)
         for c in range(k):
-            out[c] += float(caps @ tensors.q[m][lift[c]])
-    return out
-
-
-def max_expected_degree(tensors: ProbabilityTensors, alpha, n: int) -> float:
-    """Largest expected degree over communities (the model's degree scale)."""
-    return float(expected_degrees_by_community(tensors, alpha, n).max())
+            degrees[c] += float(caps @ tensors.q[m][lift[c]])
+    return float(degrees.max())
 
 
 # ---------------------------------------------------------------------------

@@ -101,13 +101,11 @@ def _finish_report(truth, k, labels, stage1, kept, iterations) -> RecoveryReport
 # Pipelines
 # ---------------------------------------------------------------------------
 
-def agnostic_partition(h: Hypergraph, k: int, seed: int = 0, truth=None,
-                       radius: float = None) -> RecoveryReport:
+def agnostic_partition(h: Hypergraph, k: int, seed: int = 0, truth=None) -> RecoveryReport:
     """Recover communities without knowing the edge probabilities.
 
     Trims by mean degree, initializes by ball peeling (radius from the
-    untrimmed mean degree unless supplied), then refines with estimated
-    probabilities.
+    untrimmed mean degree), then refines with estimated probabilities.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -115,9 +113,7 @@ def agnostic_partition(h: Hypergraph, k: int, seed: int = 0, truth=None,
     a = adjacency_matrix(h)
     keep = keep_by_mean_degree(degrees)
     a_kept = trim(a, keep)
-    if radius is None:
-        radius = default_radius(degrees)
-    stage1 = spectral_init(a_kept, keep, k, radius, seed=[seed, 1])
+    stage1 = spectral_init(a_kept, keep, k, default_radius(degrees), seed=[seed, 1])
     labels, rounds = agnostic_refine(h, stage1, k, seed=seed)
     return _finish_report(truth, k, labels, stage1, int(keep.sum()), rounds)
 
@@ -192,15 +188,18 @@ class CommunityCountEstimate:
         return float(self.eigenvalues[self.k_hat - 1] / self.threshold)
 
 
-def estimate_num_communities(h: Hypergraph, num_eigenvalues: int = None,
-                             full_spectrum: bool = False) -> CommunityCountEstimate:
+def estimate_num_communities(h: Hypergraph, num_eigenvalues: int = None) -> CommunityCountEstimate:
     """Count communities as the eigenvalues of the adjacency matrix larger
     than the 3/4 power of the maximum degree.
 
     By default only the top ceil(log n) + 5 eigenvalues are computed; pass
-    ``full_spectrum`` (n <= 200) or ``num_eigenvalues`` to widen the search.
-    If every computed eigenvalue clears the threshold the count returned is
-    the number computed (a lower bound).
+    ``num_eigenvalues`` to widen the search (n of them is the full
+    spectrum).  If every computed eigenvalue clears the threshold the count
+    returned is the number computed (a lower bound).
+
+    Each isolated vertex contributes a zero eigenvalue, which the
+    eigensolver does not resolve reliably: the eigenpairs are solved on the
+    adjacency of the other vertices, and those zeros merged in.
 
     The eigenpairs are first solved to a relative residual of ``COUNT_TOL``.
     Each Ritz value is a lower bound on the eigenvalue of its rank, so a
@@ -218,18 +217,24 @@ def estimate_num_communities(h: Hypergraph, num_eigenvalues: int = None,
     if d_tilde == 0:
         raise DegenerateDegreeError("empty hypergraph: maximum degree is zero")
     threshold = d_tilde ** 0.75
-    a = adjacency_matrix(h)
-    if full_spectrum:
-        if h.n > 200:
-            raise ValueError("full spectrum supported only for n <= 200")
-        num = h.n
-    elif num_eigenvalues is None:
+    if num_eigenvalues is None:
         num = min(h.n, math.ceil(math.log(h.n)) + 5)
+    elif num_eigenvalues < 1:
+        raise ValueError(f"need at least one eigenvalue, got {num_eigenvalues}")
     else:
         num = min(h.n, num_eigenvalues)
-    vals = rank_k_approx(a, num, tol=COUNT_TOL).values
+    a = adjacency_matrix(h)
+    live = np.flatnonzero(degrees)
+    isolated = h.n - len(live)
+    if isolated:
+        a = a[live][:, live]
+    solve = min(num, len(live))
+    vals = rank_k_approx(a, solve, tol=COUNT_TOL).values
     if np.any(np.abs(vals - threshold) <= COUNT_TOL * np.abs(vals)):
-        vals = rank_k_approx(a, num).values
+        vals = rank_k_approx(a, solve).values
+    if isolated:
+        zeros = np.zeros(min(num, isolated))
+        vals = np.sort(np.concatenate((vals, zeros)))[::-1][:num]
     below = np.flatnonzero(vals <= threshold)
     k_hat = int(below[0]) if len(below) else len(vals)
     return CommunityCountEstimate(k_hat=k_hat, eigenvalues=vals, threshold=threshold)

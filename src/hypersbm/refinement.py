@@ -202,8 +202,7 @@ def split(h: Hypergraph, theta: float, seed=None) -> Split:
                  probability=p)
 
 
-def map_correct(h: Hypergraph, labels0, tensors: ProbabilityTensors, alpha,
-                vertices=None) -> np.ndarray:
+def map_correct(h: Hypergraph, labels0, tensors: ProbabilityTensors, alpha) -> np.ndarray:
     """Posterior-maximizing relabelling of each vertex given everyone else.
 
     Scores candidate community c for vertex v by log prior(c) plus the
@@ -224,9 +223,4 @@ def map_correct(h: Hypergraph, labels0, tensors: ProbabilityTensors, alpha,
     defined = {m: np.ones(len(tensors.q[m]), dtype=bool) for m in tensors.orders}
     scores = _likelihood_scores(h, labels0, k, log_q, log_1mq, defined)
     scores += np.log(alpha)[None, :]
-    decided = np.argmax(scores, axis=1).astype(np.int64)
-    if vertices is None:
-        return decided
-    out = labels0.copy()
-    out[np.asarray(vertices)] = decided[np.asarray(vertices)]
-    return out
+    return np.argmax(scores, axis=1).astype(np.int64)

@@ -30,19 +30,17 @@ class LowRankApprox:
         equal distances between reconstruction rows."""
         return self.vectors * self.values
 
-    def reconstruct(self) -> np.ndarray:
-        """Dense rank-k reconstruction (small n only)."""
-        return (self.vectors * self.values) @ self.vectors.T
-
 
 DENSE_CUTOFF = 200
 # Seed of ARPACK's start vector.  A fixed start makes every solve
 # reproducible; uniform(-1, 1) entries, unlike a constant vector, are not
 # orthogonal to the balanced community vectors the solve must find.
 START_SEED = 0
+# ARPACK's cap on Arnoldi update iterations.
+MAXITER = 5000
 
 
-def rank_k_approx(a, k: int, tol: float = 1e-8, maxiter: int = 5000) -> LowRankApprox:
+def rank_k_approx(a, k: int, tol: float = 1e-8) -> LowRankApprox:
     """The k algebraically largest eigenpairs of a symmetric matrix.
 
     Sparse inputs go through ARPACK's implicitly restarted Lanczos from a
@@ -61,10 +59,10 @@ def rank_k_approx(a, k: int, tol: float = 1e-8, maxiter: int = 5000) -> LowRankA
     mat = a.astype(np.float64, copy=False) if sp.issparse(a) else np.asarray(a, dtype=float)
     v0 = np.random.default_rng(START_SEED).uniform(-1.0, 1.0, size=n)
     try:
-        vals, vecs = spla.eigsh(mat, k=k, which="LA", tol=tol, maxiter=maxiter, v0=v0)
+        vals, vecs = spla.eigsh(mat, k=k, which="LA", tol=tol, maxiter=MAXITER, v0=v0)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(
-            f"eigensolver did not converge within {maxiter} iterations "
+            f"eigensolver did not converge within {MAXITER} iterations "
             f"({len(exc.eigenvalues)}/{k} eigenpairs found)",
             residuals=exc.eigenvalues,
         ) from exc

@@ -2,14 +2,74 @@
 against.  Each one follows its definition literally, row by row."""
 
 import math
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
-from hypersbm.compositions import composition_index, weak_compositions
+from hypersbm.compositions import (capacity, capacity_vector, member_lift_table,
+                                   weak_compositions)
 from hypersbm.model import Hypergraph, adjacency_matrix
 from hypersbm.pipeline import CommunityCountEstimate, confusion_matrix
 from hypersbm.spectral import rank_k_approx
+
+
+@lru_cache(maxsize=None)
+def composition_index(m: int, k: int) -> dict:
+    """Map composition tuple -> its position in the canonical order (the
+    reference for compositions.composition_rank)."""
+    return {w: i for i, w in enumerate(weak_compositions(m, k))}
+
+
+def add_member(w: tuple, label: int) -> tuple:
+    """Composition w with one extra member of community ``label`` (0-based).
+
+    This is the edge type seen from a vertex of that community: the counts
+    of the other members plus the vertex itself.
+    """
+    if not 0 <= label < len(w):
+        raise ValueError(f"label {label} out of range for {len(w)} communities")
+    return w[:label] + (w[label] + 1,) + w[label + 1:]
+
+
+def expected_capacity(w: tuple, alpha, n: int) -> int:
+    """Capacity of type w under idealized community sizes floor(alpha_l * n)."""
+    return capacity(w, [int(a * n) for a in alpha])
+
+
+def tensor_value(tensors, m: int, w: tuple) -> float:
+    """Probability for an order-m edge of type w."""
+    return float(tensors.q[m][composition_index(m, tensors.k)[w]])
+
+
+def reconstruct(approx) -> np.ndarray:
+    """Dense rank-k reconstruction of a LowRankApprox (small n only)."""
+    return (approx.vectors * approx.values) @ approx.vectors.T
+
+
+def expected_adjacency(labels, tensors) -> np.ndarray:
+    """Exact mean of the adjacency matrix conditional on the labels."""
+    labels = np.asarray(labels, dtype=np.int64)
+    k = tensors.k
+    block_counts = np.bincount(labels, minlength=k)
+    pair_value = np.zeros((k, k))
+    for a in range(k):
+        for b in range(a, k):
+            sizes = block_counts.copy()
+            sizes[a] -= 1
+            sizes[b] -= 1
+            if sizes.min() < 0:
+                continue
+            for m in tensors.orders:
+                if m >= 2:
+                    # the types of the edges holding a given (a, b) pair: every
+                    # type of the other m-2 members, lifted by a and then by b
+                    types = member_lift_table(m, k)[b, member_lift_table(m - 1, k)[a]]
+                    pair_value[a, b] += capacity_vector(m - 2, k, sizes) @ tensors.q[m][types]
+            pair_value[b, a] = pair_value[a, b]
+    ea = pair_value[labels[:, None], labels[None, :]]
+    np.fill_diagonal(ea, 0.0)
+    return ea
 
 
 def type_counts_bruteforce(h, labels, v: int, k: int) -> dict:

@@ -14,9 +14,9 @@ import numpy as np
 
 import hypersbm as hs
 from hypersbm.compositions import expected_capacity_vector, member_lift_table
-from hypersbm.model import Hypergraph, adjacency_matrix, expected_adjacency
+from hypersbm.model import Hypergraph, adjacency_matrix
 from hypersbm.spectral import default_radius, keep_by_mean_degree, spectral_init, trim
-from oracles import mismatch_ratio_bruteforce
+from oracles import expected_adjacency, mismatch_ratio_bruteforce
 
 ALPHA2 = (0.5, 0.5)
 

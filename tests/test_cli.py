@@ -53,6 +53,9 @@ def test_sample_then_recover_and_estimate(config_path, tmp_path, capsys):
     assert main(["estimate-k", "--input", h_path]) == 0
     printed = capsys.readouterr().out
     assert "estimated communities: 2" in printed
+    assert main(["estimate-k", "--input", h_path, "--num-eigenvalues", "60"]) == 0
+    printed = capsys.readouterr().out
+    assert "estimated communities: 2" in printed
 
 
 def test_recover_prior_needs_config(config_path, tmp_path, capsys):
@@ -99,10 +102,18 @@ def test_usage_errors_are_one_line_and_exit_two(config_path, tmp_path, capsys):
                  "--k", "2"]) == 2
     assert capsys.readouterr().err == ("hypersbm: error: truth length does not "
                                        "match hypergraph\n")
+    assert main(["estimate-k", "--input", h_path, "--num-eigenvalues", "0"]) == 2
+    assert capsys.readouterr().err == "hypersbm: error: need at least one eigenvalue, got 0\n"
     one = tmp_path / "one.cfg"
     one.write_text(CONFIG.replace("k = 2", "k = 1").replace("alpha = 0.5,0.5", "alpha = 1"))
     assert main(["threshold", "--config", str(one)]) == 2
     assert capsys.readouterr().err == "hypersbm: error: threshold needs k >= 2\n"
+    # with no alpha line the default prior would divide by k
+    zero = tmp_path / "zero.cfg"
+    zero.write_text(CONFIG.replace("k = 2", "k = 0").replace("alpha = 0.5,0.5\n", ""))
+    for argv in (["threshold"], ["sample", "--out", h_path], ["phase", "--out", z_path]):
+        assert main(argv + ["--config", str(zero)]) == 2
+        assert capsys.readouterr().err == "hypersbm: error: need k >= 1 communities, got k=0\n"
 
 
 def test_phase_exits_one_when_trials_fail(tmp_path, capsys):

@@ -9,12 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersbm.compositions import (
-    add_member,
     capacity,
     capacity_vector,
-    composition_index,
     composition_rank,
-    expected_capacity,
     expected_capacity_vector,
     member_drop_table,
     member_lift_table,
@@ -22,6 +19,7 @@ from hypersbm.compositions import (
     num_weak_compositions,
     weak_compositions,
 )
+from oracles import add_member, composition_index, expected_capacity
 
 
 def brute_force_compositions(m, k):

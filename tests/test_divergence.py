@@ -256,7 +256,7 @@ def test_separation_holds_for_rank_deficient_mixture():
 
 def test_separation_matches_direct_enumeration():
     # oracle: rebuild the inner sums with explicit composition arithmetic
-    from hypersbm.compositions import add_member, composition_index, expected_capacity
+    from oracles import add_member, composition_index, expected_capacity
     from hypersbm.model import max_expected_degree
 
     rng = np.random.default_rng(17)

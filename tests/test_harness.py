@@ -68,6 +68,8 @@ def test_parse_config_rejects_garbage():
         hs.parse_config("n=50\nk=2\nmode=wat\nlayer order=2 within=3 cross=1\n")
     with pytest.raises(ValueError):
         hs.parse_config("n=50\nk=2\nlayer order=2 values=1,2\n")  # wrong length
+    with pytest.raises(ValueError, match="need k >= 1"):
+        hs.parse_config("n=50\nk=0\nlayer order=2 within=3 cross=1\n")  # default alpha is 1/k
 
 
 def test_parse_config_names_missing_keys():

@@ -12,13 +12,15 @@ from hypothesis import strategies as st
 
 import hypersbm as hs
 from hypersbm import model
-from hypersbm.compositions import composition_index
 from hypersbm.model import Hypergraph, make_hypergraph
 from oracles import (
     canonical_edge_array_lexsort,
+    composition_index,
+    expected_adjacency,
     read_hypergraph_lines,
     read_membership_lines,
     sample_distinct_dict,
+    tensor_value,
     type_counts_bruteforce,
 )
 
@@ -70,14 +72,6 @@ def test_membership_block_sizes_concentrate():
     n = 10**4
     z = hs.sample_membership(n, [0.5, 0.5], seed=5)
     assert abs((z == 0).sum() - n / 2) <= 4 * np.sqrt(n)
-
-
-def test_membership_exact_sizes():
-    z = hs.sample_membership(10, [0.5, 0.5], seed=3, exact_sizes=True)
-    assert sorted(np.bincount(z)) == [5, 5]
-    z = hs.sample_membership(11, [0.4, 0.6], seed=3, exact_sizes=True)
-    sizes = np.bincount(z, minlength=2)
-    assert sizes.sum() == 11 and sizes[0] in (4, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +130,7 @@ def test_stratified_sampling_matches_per_edge_bernoulli():
     freq /= seeds
     for i, j in itertools.combinations(range(n), 2):
         w = tuple(np.bincount([z[i], z[j]], minlength=2))
-        p = tensors.value(2, w)
+        p = tensor_value(tensors, 2, w)
         sd = np.sqrt(p * (1 - p) / seeds)
         assert abs(freq[i, j] - p) <= 3 * sd, (i, j, freq[i, j], p)
 
@@ -163,7 +157,8 @@ def test_probability_validation():
 def test_unranking_is_a_bijection():
     # oracle: explicit enumeration of all k-subsets
     from math import comb
-    from hypersbm.model import _binomial_tables, _unrank_combinations
+    from hypersbm.compositions import _binomial_tables
+    from hypersbm.model import _unrank_combinations
 
     for s in (3, 5, 8, 12):
         for k in (1, 2, 3, 4):
@@ -177,7 +172,7 @@ def test_unranking_is_a_bijection():
 
 
 def test_binomial_tables_are_exact_below_int64_overflow():
-    from hypersbm.model import _binomial_tables
+    from hypersbm.compositions import _binomial_tables
 
     small = _binomial_tables(40, 6)
     assert small.tolist() == [[math.comb(j, i) for j in range(41)] for i in range(7)]
@@ -264,6 +259,34 @@ def test_canonical_edge_array_matches_lexsort_oracle(case):
     got = _canonical_edge_array(rows, m)
     want = canonical_edge_array_lexsort(rows, m)
     assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+@st.composite
+def shuffled_edge_lists(draw):
+    """Edge lists on up to 12 vertices, and the same lists with the rows and
+    the vertices within each row put in an arbitrary order."""
+    n = draw(st.integers(4, 12))
+    edges, shuffled = {}, {}
+    for m in draw(st.sets(st.integers(2, 4), min_size=1, max_size=3)):
+        row = st.lists(st.integers(0, n - 1), min_size=m, max_size=m, unique=True)
+        rows = draw(st.lists(row, max_size=20, unique_by=frozenset))
+        order = draw(st.permutations(range(len(rows))))
+        edges[m] = np.array(rows, dtype=np.int64).reshape(-1, m)
+        shuffled[m] = np.array([draw(st.permutations(rows[i])) for i in order],
+                               dtype=np.int64).reshape(-1, m)
+    return n, edges, shuffled
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(shuffled_edge_lists())
+def test_make_hypergraph_ignores_row_and_vertex_order(case):
+    n, edges, shuffled = case
+    h, g = make_hypergraph(n, edges), make_hypergraph(n, shuffled)
+    assert h.orders == g.orders
+    for m in h.orders:
+        assert g.edges[m].dtype == np.int64
+        assert np.array_equal(g.edges[m], h.edges[m])
+        assert np.array_equal(g.edges[m], canonical_edge_array_lexsort(edges[m], m))
 
 
 def test_canonical_edge_array_sizes_tables_by_rows(monkeypatch):
@@ -489,12 +512,12 @@ def test_expected_adjacency_matches_enumeration():
     labels = np.array([0, 0, 0, 1, 1, 1, 0])
     q = {2: rng.uniform(0, 1, 3), 3: rng.uniform(0, 1, 4)}
     tensors = hs.ProbabilityTensors(k=k, q=q)
-    ea = hs.expected_adjacency(labels, tensors)
+    ea = expected_adjacency(labels, tensors)
     oracle = np.zeros((n, n))
     for m in (2, 3):
         for combo in itertools.combinations(range(n), m):
             w = tuple(np.bincount(labels[list(combo)], minlength=k))
-            p = tensors.value(m, w)
+            p = tensor_value(tensors, m, w)
             for i, j in itertools.combinations(combo, 2):
                 oracle[i, j] += p
                 oracle[j, i] += p
@@ -506,7 +529,7 @@ def test_max_expected_degree_two_block():
     n = 100
     T = two_block_tensors(n, 8, 2)
     rho = hs.max_expected_degree(T, [0.5, 0.5], n)
-    qa, qb = T.value(2, (2, 0)), T.value(2, (1, 1))
+    qa, qb = tensor_value(T, 2, (2, 0)), tensor_value(T, 2, (1, 1))
     assert np.isclose(rho, 50 * (qa + qb))
 
 

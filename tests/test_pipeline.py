@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hypersbm as hs
 from hypersbm import pipeline
 from hypersbm.errors import DegenerateDegreeError
-from hypersbm.model import Hypergraph, make_hypergraph
+from hypersbm.model import Hypergraph, adjacency_matrix, make_hypergraph
 from oracles import count_communities_tight, mismatch_ratio_bruteforce
 
 
@@ -75,6 +77,29 @@ def test_mismatch_invariant_under_consistent_relabeling():
         base, _ = hs.mismatch_ratio(z, zh, k=k)
         assert np.isclose(base, hs.mismatch_ratio(perm[z], zh, k=k)[0])
         assert np.isclose(base, hs.mismatch_ratio(z, perm[zh], k=k)[0])
+
+
+@st.composite
+def labellings(draw):
+    """A truth and an estimate on the same vertices, a permutation of the
+    estimate's labels and a permutation of the vertices."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 40))
+    label = st.integers(0, k - 1)
+    truth = np.array(draw(st.lists(label, min_size=n, max_size=n)))
+    estimate = np.array(draw(st.lists(label, min_size=n, max_size=n)))
+    relabel = np.array(draw(st.permutations(range(k))))
+    order = np.array(draw(st.permutations(range(n))))
+    return truth, estimate, k, relabel, order
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(labellings())
+def test_mismatch_ignores_estimate_labels_and_vertex_order(case):
+    truth, estimate, k, relabel, order = case
+    base, _ = hs.mismatch_ratio(truth, estimate, k=k)
+    assert hs.mismatch_ratio(truth, relabel[estimate], k=k)[0] == base
+    assert hs.mismatch_ratio(truth[order], estimate[order], k=k)[0] == base
 
 
 def test_mismatch_never_exceeds_matching_bound():
@@ -214,7 +239,7 @@ def test_count_reports_spectrum_and_threshold():
 
 def test_count_full_spectrum_mode():
     h, _, _ = planted_instance(150, 24, 4, 11)
-    est = hs.estimate_num_communities(h, full_spectrum=True)
+    est = hs.estimate_num_communities(h, num_eigenvalues=150)
     assert len(est.eigenvalues) == 150
     assert est.k_hat == 2
 
@@ -257,3 +282,18 @@ def test_count_falls_back_to_tight_solve_near_threshold(monkeypatch):
     assert calls == [{"tol": pipeline.COUNT_TOL}, {}]
     assert est.k_hat == 1
     assert np.allclose(est.eigenvalues[:2], [80.0, 26.0])
+
+
+@pytest.mark.parametrize("num", [None, 2, 11, 150, 300])
+def test_count_includes_zero_eigenvalues_of_isolated_vertices(num):
+    # K_81 plus K_27 padded to n = 300: the spectrum is 80, 26, -1 (106
+    # times) and 0 (192 times, one per isolated vertex)
+    cliques = [[base + i, base + j] for base, size in ((0, 81), (81, 27))
+               for i in range(size) for j in range(i + 1, size)]
+    h = make_hypergraph(300, {2: cliques})
+    est = hs.estimate_num_communities(h, num_eigenvalues=num)
+    spectrum = np.linalg.eigvalsh(adjacency_matrix(h).toarray())[::-1]
+    want = spectrum[:len(est.eigenvalues)]
+    assert len(est.eigenvalues) == (11 if num is None else num)
+    assert np.allclose(est.eigenvalues, want, rtol=0, atol=1e-8)
+    assert est.k_hat == 1

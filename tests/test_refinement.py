@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypersbm as hs
-from hypersbm.compositions import composition_index
+from hypersbm.compositions import composition_rank
 from hypersbm.model import make_hypergraph
 from hypersbm.refinement import edge_composition_counts, edge_type_count_matrix
-from oracles import type_counts_bruteforce
+from oracles import composition_index, tensor_value, type_counts_bruteforce
 
 
 def two_clique_instance():
@@ -62,7 +62,7 @@ def test_estimate_is_unbiased_with_true_labels():
     coeffs = hs.two_level_coefficients(2, {2: 9.0}, {2: 3.0})
     T = hs.ProbabilityTensors.from_unscaled(2, coeffs, n)
     z = np.array([0, 1] * (n // 2))
-    q = T.value(2, (1, 1))
+    q = tensor_value(T, 2, (1, 1))
     cap = 20 * 20
     sd = math.sqrt(q * (1 - q) / cap)
     scores = []
@@ -172,6 +172,25 @@ def test_type_count_rows_follow_vertex_relabelling(instance, rnd):
     after = edge_type_count_matrix(moved, moved_labels, k)
     for m in h.orders:
         assert np.array_equal(after[m][perm], before[m])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(labelled_hypergraphs(), st.randoms(use_true_random=False))
+def test_estimate_tensors_commute_with_community_relabelling(instance, rnd):
+    h, labels, k = instance
+    pi = np.array(rnd.sample(range(k), k))
+    before = hs.estimate_tensors(h, labels, k)
+    after = hs.estimate_tensors(h, pi[labels], k)
+    for m in h.orders:
+        # type w under the old labels is type w' with w'[pi[l]] = w[l]
+        types = np.array(hs.weak_compositions(m, k), dtype=np.int64)
+        moved = np.empty_like(types)
+        moved[:, pi] = types
+        j = composition_rank(moved, m)
+        assert np.array_equal(after.counts[m][j], before.counts[m])
+        assert after.capacities[m][j].tobytes() == before.capacities[m].tobytes()
+        assert np.array_equal(after.defined[m][j], before.defined[m])
+        assert np.array_equal(after.values[m][j], before.values[m], equal_nan=True)
 
 
 def test_type_counts_have_no_community_cap():
@@ -357,13 +376,6 @@ def test_map_prior_monotone_at_likelihood_ties():
     assert np.all(out == 0)
     out = hs.map_correct(h, labels0, T, [0.4, 0.6])
     assert np.all(out == 1)
-
-
-def test_map_vertex_subset():
-    h, labels0, T = symmetric_prior_instance()
-    out = hs.map_correct(h, labels0, T, [0.1, 0.9], vertices=[0])
-    assert out[0] == 1
-    assert np.array_equal(out[1:], labels0[1:])
 
 
 def test_map_exact_recovery_on_planted_instance():
