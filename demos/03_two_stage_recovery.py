@@ -51,7 +51,7 @@ damaged = truth.copy()
 flip = np.random.default_rng(0).choice(n, size=40, replace=False)
 damaged[flip] = 1 - damaged[flip]
 print(f"damaged labelling mismatch: {hs.mismatch_ratio(truth, damaged)[0]:.4f}")
-refined, rounds = hs.agnostic_refine(h, damaged, k, seed=3)
+refined, rounds, _ = hs.agnostic_refine(h, damaged, k, seed=3)
 print(f"after {rounds} refinement rounds: "
       f"{hs.mismatch_ratio(truth, refined)[0]:.4f}")
 corrected = hs.map_correct(h, damaged, tensors, alpha)

@@ -82,7 +82,8 @@ def _cmd_recover(args) -> int:
                                       split_adjust=not args.no_split_adjust)
     print(f"mode={args.mode} n={h.n} k={args.k} seed={args.seed}")
     print(f"kept after trimming: {report.kept}/{h.n}")
-    print(f"refinement rounds:   {report.iterations}")
+    status = {True: " (converged)", False: " (capped)", None: ""}[report.converged]
+    print(f"refinement rounds:   {report.iterations}{status}")
     if report.eta is not None:
         print(f"mismatch ratio:      {report.eta:.9g} (stage one {report.eta_stage1:.9g})")
     sizes = np.bincount(report.labels, minlength=args.k)
@@ -121,10 +122,12 @@ def _cmd_phase(args) -> int:
     for s in summaries:
         sval = "" if s.sweep_value is None else f"{s.sweep_value:g}"
         print(f"{s.point_id},{s.n},{sval},{s.success_rate:.4f}")
-    errors = sum(1 for r in records if r.error)
-    if errors:
-        print(f"note: {errors} trials recorded errors")
-    return 1 if errors else 0
+    failed = [r for r in records if r.error]
+    if failed:
+        print(f"note: {len(failed)} trials recorded errors")
+    for r in failed:
+        print(f"hypersbm: trial point={r.point_id} seed={r.seed}: {r.error}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

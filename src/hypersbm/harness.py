@@ -6,6 +6,8 @@ is one CSV row.  Per-trial seeds are ``base_seed + trial_index`` by
 contract, so sweeps can be sharded across processes and reproduced exactly.
 """
 
+import ctypes
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -290,18 +292,73 @@ def _run_trial_job(args):
     return run_trial(config, point, seed)
 
 
+# Thread-count setters of the OpenBLAS builds in numpy's wheels (64-bit
+# integers) and scipy's, then that of a plain OpenBLAS build.
+_OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_",
+                        "scipy_openblas_set_num_threads",
+                        "openblas_set_num_threads")
+
+
+def _loaded_openblas() -> list:
+    """Handles of the OpenBLAS libraries this process has already loaded,
+    found through /proc/self/maps; empty where that file does not exist."""
+    paths = set()
+    try:
+        with open("/proc/self/maps") as fh:
+            for line in fh:
+                fields = line.rstrip("\n").split(maxsplit=5)  # the 6th is the path
+                if len(fields) == 6 and "openblas" in os.path.basename(fields[5]):
+                    paths.add(fields[5])
+    except OSError:
+        return []
+    libs = []
+    for path in sorted(paths):
+        try:
+            libs.append(ctypes.CDLL(path, mode=os.RTLD_NOLOAD))
+        except OSError:  # unmapped since, or not a shared library
+            continue
+    return libs
+
+
+def _cap_blas_threads(workers: int) -> None:
+    """Pool initializer: give each of ``workers`` forked processes an equal
+    share of the CPUs for OpenBLAS, so they do not oversubscribe them.
+
+    OpenBLAS reads its thread variables only when it loads, so a forked
+    worker must set the count through the library itself.  A thread count
+    the user set in OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is kept.
+    """
+    if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
+        return
+    libs = _loaded_openblas()
+    if not libs:
+        return
+    threads = max(1, len(os.sched_getaffinity(0)) // workers)
+    for lib in libs:
+        for symbol in _OPENBLAS_SET_THREADS:
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(threads)
+                break
+
+
 def phase_sweep(config: ExperimentConfig, workers: int = 1):
     """Run every (point, trial) job and aggregate exact-recovery rates.
 
     Trial t of every point uses seed ``config.seed + t``.  With workers > 1
-    jobs run in separate processes; results are ordered by (point, trial)
-    either way, so the output is identical to a sequential run.
+    jobs run in separate processes, each with ``cpus // workers`` BLAS
+    threads; results are ordered by (point, trial) either way, so the output
+    is identical to a sequential run.
     """
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
     points = grid_points(config)
     jobs = [(config, point, config.seed + t)
             for point in points for t in range(config.trials)]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_cap_blas_threads,
+                                 initargs=(workers,)) as pool:
             records = list(pool.map(_run_trial_job, jobs))
     else:
         records = [_run_trial_job(job) for job in jobs]

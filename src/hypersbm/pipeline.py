@@ -81,19 +81,22 @@ class RecoveryReport:
     stage1_labels: np.ndarray
     kept: int                # vertices surviving the trimming stage
     iterations: int          # refinement rounds run (0 for the MAP route)
+    converged: bool = None   # refinement reached a fixed point (None for the MAP route)
     eta: float = None        # mismatch ratio vs truth, when truth was given
     eta_stage1: float = None
     permutation: np.ndarray = None
 
 
-def _finish_report(truth, k, labels, stage1, kept, iterations) -> RecoveryReport:
+def _finish_report(truth, k, labels, stage1, kept, iterations,
+                   converged=None) -> RecoveryReport:
     if truth is None:
         return RecoveryReport(labels=labels, stage1_labels=stage1, kept=kept,
-                              iterations=iterations)
+                              iterations=iterations, converged=converged)
     eta, perm = mismatch_ratio(truth, labels, k)
     eta1, _ = mismatch_ratio(truth, stage1, k)
     return RecoveryReport(labels=labels, stage1_labels=stage1, kept=kept,
-                          iterations=iterations, eta=eta, eta_stage1=eta1,
+                          iterations=iterations, converged=converged,
+                          eta=eta, eta_stage1=eta1,
                           permutation=perm)
 
 
@@ -114,8 +117,8 @@ def agnostic_partition(h: Hypergraph, k: int, seed: int = 0, truth=None) -> Reco
     keep = keep_by_mean_degree(degrees)
     a_kept = trim(a, keep)
     stage1 = spectral_init(a_kept, keep, k, default_radius(degrees), seed=[seed, 1])
-    labels, rounds = agnostic_refine(h, stage1, k, seed=seed)
-    return _finish_report(truth, k, labels, stage1, int(keep.sum()), rounds)
+    labels, rounds, converged = agnostic_refine(h, stage1, k, seed=seed)
+    return _finish_report(truth, k, labels, stage1, int(keep.sum()), rounds, converged)
 
 
 def partition_with_prior(h: Hypergraph, k: int, tensors: ProbabilityTensors,

@@ -158,18 +158,17 @@ def refine_step(h: Hypergraph, labels, estimated: EstimatedTensors,
 def agnostic_refine(h: Hypergraph, labels0, k: int, seed: int = 0):
     """Estimate edge probabilities once from the initial labelling, then
     refine for at most ceil(log n) + 1 synchronous rounds, stopping early at
-    a fixed point.  Returns (labels, rounds_run)."""
+    a fixed point.  Returns (labels, rounds_run, converged), where converged
+    is False when the last round still moved labels (the round cap hit)."""
     labels = np.asarray(labels0, dtype=np.int64).copy()
     estimated = estimate_tensors(h, labels, k)
     max_rounds = math.ceil(math.log(h.n)) + 1
-    rounds = 0
     for step in range(max_rounds):
         new_labels = refine_step(h, labels, estimated, seed=seed, step=step)
-        rounds += 1
         if np.array_equal(new_labels, labels):
-            break
+            return labels, step + 1, True
         labels = new_labels
-    return labels, rounds
+    return labels, max_rounds, False
 
 
 # ---------------------------------------------------------------------------

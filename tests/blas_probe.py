@@ -1,0 +1,28 @@
+"""Probes of the OpenBLAS thread counts, for the process-pool tests.
+
+``blas_threads_job`` stands in for ``harness._run_trial_job`` so that a
+sweep's pool workers report their own counts instead of running trials.
+"""
+
+import ctypes
+from types import SimpleNamespace
+
+from hypersbm import harness
+
+
+def blas_thread_counts() -> dict:
+    """Path -> current thread count of each OpenBLAS library loaded here."""
+    counts = {}
+    for lib in harness._loaded_openblas():
+        for symbol in harness._OPENBLAS_SET_THREADS:
+            getter = getattr(lib, symbol.replace("_set_", "_get_"), None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                counts[lib._name] = getter()
+                break
+    return counts
+
+
+def blas_threads_job(args):
+    # eta_final is what phase_sweep aggregates; None counts as no recovery
+    return SimpleNamespace(eta_final=None, threads=blas_thread_counts())

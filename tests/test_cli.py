@@ -47,6 +47,7 @@ def test_sample_then_recover_and_estimate(config_path, tmp_path, capsys):
                  "--out", out_path, "--csv"]) == 0
     printed = capsys.readouterr().out
     assert "mismatch ratio" in printed
+    assert "refinement rounds:   1 (converged)\n" in printed
     zhat = hs.read_membership(out_path)
     assert zhat.shape == (60,)
 
@@ -114,6 +115,10 @@ def test_usage_errors_are_one_line_and_exit_two(config_path, tmp_path, capsys):
     for argv in (["threshold"], ["sample", "--out", h_path], ["phase", "--out", z_path]):
         assert main(argv + ["--config", str(zero)]) == 2
         assert capsys.readouterr().err == "hypersbm: error: need k >= 1 communities, got k=0\n"
+    for workers in ("0", "-3"):
+        assert main(["phase", "--config", config_path, "--out", z_path,
+                     "--workers", workers]) == 2
+        assert capsys.readouterr().err == f"hypersbm: error: need workers >= 1, got {workers}\n"
 
 
 def test_phase_exits_one_when_trials_fail(tmp_path, capsys):
@@ -123,7 +128,13 @@ def test_phase_exits_one_when_trials_fail(tmp_path, capsys):
                     .replace("within=12 cross=2", "within=0.1 cross=0.1"))
     out = str(tmp_path / "sweep.csv")
     assert main(["phase", "--config", str(path), "--out", out]) == 1
-    assert "3 trials recorded errors" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "3 trials recorded errors" in captured.out
+    lines = captured.err.splitlines()
+    assert len(lines) == 3
+    for seed, line in zip((11, 12, 13), lines):
+        assert line.startswith(f"hypersbm: trial point=0 seed={seed}: "
+                               "DegenerateDegreeError: mean degree ")
     assert len(hs.parse_csv(out)) == 3
 
 

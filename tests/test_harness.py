@@ -1,13 +1,22 @@
 """Config parsing, seeded trials, sweeps, and CSV persistence."""
 
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hypersbm as hs
+from blas_probe import blas_thread_counts, blas_threads_job
+from hypersbm import harness
 from hypersbm.harness import CSV_COLUMNS, grid_points
+
+ROOT = Path(__file__).resolve().parent.parent
 
 BASE_CONFIG = """
 # two-block graph model
@@ -167,6 +176,97 @@ def test_phase_sweep_parallel_matches_sequential():
     seq, _ = hs.phase_sweep(cfg, workers=1)
     par, _ = hs.phase_sweep(cfg, workers=2)
     assert [strip_wall(r) for r in seq] == [strip_wall(r) for r in par]
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads in pool workers
+# ---------------------------------------------------------------------------
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+needs_openblas = pytest.mark.skipif(not blas_thread_counts(),
+                                    reason="no OpenBLAS library found in /proc/self/maps")
+
+
+def run_python(script, **env_vars):
+    """Run ``script`` in a fresh interpreter with src/ and tests/ importable
+    and the BLAS thread variables replaced by ``env_vars``; its stdout as JSON."""
+    env = {key: val for key, val in os.environ.items() if key not in THREAD_VARS}
+    env.update(env_vars)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@needs_openblas
+def test_pool_workers_split_the_cpus_between_them(monkeypatch):
+    for var in THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(harness, "_run_trial_job", blas_threads_job)
+    records, _ = hs.phase_sweep(hs.parse_config(SWEEP_CONFIG), workers=2)
+    cap = max(1, CPUS // 2)
+    expected = {path: cap for path in blas_thread_counts()}
+    assert [r.threads for r in records] == [expected] * len(records)
+
+
+@needs_openblas
+def test_sweeps_leave_the_parent_blas_threads_alone():
+    before = blas_thread_counts()
+    cfg = hs.parse_config(SWEEP_CONFIG)
+    for workers in (1, 2):
+        hs.phase_sweep(cfg, workers=workers)
+        assert blas_thread_counts() == before
+
+
+KEEPS_USER_THREADS = f"""
+import json
+import hypersbm as hs
+from hypersbm import harness
+from blas_probe import blas_thread_counts, blas_threads_job
+harness._run_trial_job = blas_threads_job
+records, _ = hs.phase_sweep(hs.parse_config({SWEEP_CONFIG!r}), workers=2)
+print(json.dumps({{"parent": blas_thread_counts(), "workers": [r.threads for r in records]}}))
+"""
+
+
+@needs_openblas
+@pytest.mark.skipif(CPUS < 2, reason="the user's count must differ from the cap")
+@pytest.mark.parametrize("var", THREAD_VARS)
+def test_pool_workers_keep_a_user_set_thread_count(var):
+    out = run_python(KEEPS_USER_THREADS, **{var: str(CPUS)})
+    assert set(out["parent"].values()) == {CPUS} != {max(1, CPUS // 2)}
+    assert out["workers"] == [out["parent"]] * len(out["workers"])
+
+
+SWEEP_AND_PARTITION = f"""
+import dataclasses, json
+import hypersbm as hs
+records, _ = hs.phase_sweep(hs.parse_config({SWEEP_CONFIG!r}))
+n = 12000
+coeffs = hs.two_level_coefficients(2, {{2: 10.0, 3: 12.0}}, {{2: 2.0, 3: 2.0}})
+tensors = hs.ProbabilityTensors.from_unscaled(2, coeffs, n)
+truth = hs.sample_membership(n, [0.5, 0.5], seed=[5, 11])
+h = hs.sample_hypergraph(n, truth, tensors, seed=[5, 12])
+report = hs.agnostic_partition(h, 2, seed=5)
+print(json.dumps({{
+    "records": [dataclasses.asdict(dataclasses.replace(r, wall_ms=None)) for r in records],
+    "stage1": report.stage1_labels.tolist(),
+    "labels": report.labels.tolist(),
+}}))
+"""
+
+
+def test_results_do_not_depend_on_the_blas_thread_count():
+    # refine_step finds ties by exact float equality after a matmul, and the
+    # eigensolver's reductions run at n = 12000, so a result that depended on
+    # how OpenBLAS splits its work across threads would show here
+    one = run_python(SWEEP_AND_PARTITION, OPENBLAS_NUM_THREADS="1")
+    two = run_python(SWEEP_AND_PARTITION, OPENBLAS_NUM_THREADS="2")
+    assert one == two
+    assert len(one["records"]) == 4 and len(one["labels"]) == 12000
 
 
 # ---------------------------------------------------------------------------

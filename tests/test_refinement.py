@@ -252,7 +252,7 @@ def test_refine_survives_collapsed_initial_labelling():
     # the empty block's types are undefined and contribute nothing
     h, z, _ = planted_instance(80, 12, 2, 21)
     collapsed = np.zeros(80, dtype=int)
-    labels, rounds = hs.agnostic_refine(h, collapsed, 2, seed=0)
+    labels, rounds, _ = hs.agnostic_refine(h, collapsed, 2, seed=0)
     assert labels.shape == (80,)
     assert set(np.unique(labels)) <= {0, 1}
     assert rounds >= 1
@@ -260,17 +260,28 @@ def test_refine_survives_collapsed_initial_labelling():
 
 def test_agnostic_refine_stops_at_fixed_point():
     h, truth = two_clique_instance()
-    labels, rounds = hs.agnostic_refine(h, truth, 2, seed=0)
+    labels, rounds, converged = hs.agnostic_refine(h, truth, 2, seed=0)
     assert np.array_equal(labels, truth)
     assert rounds == 1
+    assert converged
 
 
 def test_agnostic_refine_round_budget():
     h, z, _ = planted_instance(100, 12, 2, 3)
     start = z.copy()
     start[:20] = 1 - start[:20]
-    labels, rounds = hs.agnostic_refine(h, start, 2, seed=0)
+    labels, rounds, converged = hs.agnostic_refine(h, start, 2, seed=0)
     assert rounds <= math.ceil(math.log(100)) + 1
+    assert converged or rounds == math.ceil(math.log(100)) + 1
+
+
+def test_agnostic_refine_reports_its_round_cap():
+    # an all-zero start leaves the second community's rates undefined, so the
+    # labels swing between one block and a random tie-break split and never settle
+    h, _, _ = planted_instance(300, 14, 2, 0)
+    labels, rounds, converged = hs.agnostic_refine(h, np.zeros(300, dtype=int), 2, seed=0)
+    assert rounds == math.ceil(math.log(300)) + 1 == 7
+    assert not converged
 
 
 def test_agnostic_refine_reaches_exact_recovery():
@@ -280,7 +291,7 @@ def test_agnostic_refine_reaches_exact_recovery():
         start = z.copy()
         flip = np.random.default_rng(t).choice(300, size=15, replace=False)
         start[flip] = 1 - start[flip]
-        labels, _ = hs.agnostic_refine(h, start, 2, seed=t)
+        labels, _, _ = hs.agnostic_refine(h, start, 2, seed=t)
         eta, _ = hs.mismatch_ratio(z, labels)
         wins += eta == 0.0
     assert wins >= 9
