@@ -13,6 +13,7 @@ import sys
 import numpy as np
 
 from .divergence import chernoff_hellinger, classify_regime
+from .errors import ConvergenceError
 from .harness import emit_csv, grid_points, phase_sweep, read_config, sample_instance
 from .model import (
     ProbabilityTensors,
@@ -183,6 +184,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"hypersbm: error: {exc}", file=sys.stderr)
         return 2
+    except ConvergenceError as exc:
+        print(f"hypersbm: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DegenerateDegreeError
 from .model import (
@@ -45,6 +44,66 @@ def confusion_matrix(truth, estimate, k: int) -> np.ndarray:
     return out
 
 
+def _max_assignment(weights):
+    """Rows and columns of a maximum-weight perfect matching of a square
+    integer matrix, as ``(arange(k), cols)``.
+
+    Shortest augmenting paths (Crouse 2016) on the negated weights, one row
+    at a time, with the tie-breaking of ``scipy.optimize.linear_sum_assignment``:
+    the remaining columns start as k-1..0, a picked column is replaced by
+    the last remaining one, and among the columns of lowest path cost the
+    last unassigned one wins, else the first.  Integer weights keep every
+    sum exact, so the matching is the one that function returns.
+    """
+    cost = -np.asarray(weights, dtype=np.float64)
+    k = cost.shape[0]
+    u = np.zeros(k)
+    v = np.zeros(k)
+    col4row = np.full(k, -1, dtype=np.int64)
+    row4col = np.full(k, -1, dtype=np.int64)
+    path = np.full(k, -1, dtype=np.int64)
+    for cur in range(k):
+        spc = np.full(k, np.inf)
+        in_sr = np.zeros(k, dtype=bool)
+        in_sc = np.zeros(k, dtype=bool)
+        remaining = np.arange(k - 1, -1, -1)
+        count = k
+        i, min_val, sink = cur, 0.0, -1
+        while sink < 0:
+            in_sr[i] = True
+            rem = remaining[:count]
+            r = min_val + cost[i, rem] - u[i] - v[rem]
+            better = r < spc[rem]
+            path[rem[better]] = i
+            spc[rem[better]] = r[better]
+            costs = spc[rem]
+            min_val = costs.min()
+            ties = np.flatnonzero(costs == min_val)
+            free = ties[row4col[rem[ties]] < 0]
+            index = free[-1] if len(free) else ties[0]
+            j = rem[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            in_sc[j] = True
+            count -= 1
+            remaining[index] = remaining[count]
+        u[cur] += min_val
+        others = np.flatnonzero(in_sr)
+        others = others[others != cur]
+        u[others] += min_val - spc[col4row[others]]
+        v[in_sc] -= min_val - spc[in_sc]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return np.arange(k), col4row
+
+
 def mismatch_ratio(truth, estimate, k: int = None):
     """Fraction of misclassified vertices under the best label permutation.
 
@@ -56,16 +115,16 @@ def mismatch_ratio(truth, estimate, k: int = None):
     estimate = np.asarray(estimate, dtype=np.int64)
     if truth.shape != estimate.shape:
         raise ValueError("membership vectors must have equal length")
+    if truth.size == 0:
+        raise ValueError("need at least one vertex")
     if k is None:
         k = int(max(truth.max(), estimate.max())) + 1
     for name, z in (("truth", truth), ("estimate", estimate)):
-        if z.size and (z.min() < 0 or z.max() >= k):
+        if z.min() < 0 or z.max() >= k:
             raise ValueError(f"{name} labels must lie in [0, {k})")
     conf = confusion_matrix(truth, estimate, k)
-    rows, cols = linear_sum_assignment(conf, maximize=True)
-    perm = np.empty(k, dtype=np.int64)
-    perm[rows] = cols
-    matched = conf[rows, cols].sum()
+    rows, perm = _max_assignment(conf)
+    matched = conf[rows, perm].sum()
     return 1.0 - matched / len(truth), perm
 
 

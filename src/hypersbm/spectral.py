@@ -134,6 +134,62 @@ def radius_from_degree_scale(rho: float, n: int) -> float:
     return rho * rho / (n * math.log(rho))
 
 
+# Squared distances computed at once in the ball table: a block of centers
+# times the kept vertices.
+BALL_BLOCK = 1 << 16
+# numpy sums runs of at most this many terms with eight partial sums.
+_PAIRWISE_BLOCK = 128
+
+
+def _pairwise_sum(term, lo: int, hi: int):
+    """Sum of term(lo) .. term(hi - 1), added in the order numpy's pairwise
+    summation adds the entries of a contiguous row, so each element equals
+    the row sum of the individual terms bit for bit."""
+    count = hi - lo
+    if count < 8:
+        total = term(lo)
+        for j in range(lo + 1, hi):
+            total += term(j)
+        return total
+    if count <= _PAIRWISE_BLOCK:
+        part = [term(lo + j) for j in range(8)]
+        stop = hi - count % 8
+        for i in range(lo + 8, stop, 8):
+            for j in range(8):
+                part[j] += term(i + j)
+        total = ((part[0] + part[1]) + (part[2] + part[3])) + \
+                ((part[4] + part[5]) + (part[6] + part[7]))
+        for j in range(stop, hi):
+            total += term(j)
+        return total
+    half = count // 2
+    half -= half % 8
+    return _pairwise_sum(term, lo, lo + half) + _pairwise_sum(term, lo + half, hi)
+
+
+def _ball_table(emb, kept, centers, radius: float) -> np.ndarray:
+    """Boolean (centers, kept) table: whether the squared embedding distance
+    from each center to each kept vertex is at most ``radius``.
+
+    Centers go in blocks of at most ``BALL_BLOCK`` distances, and each block
+    adds the squared coordinate gaps one coordinate at a time over the kept
+    embedding transposed to (k, kept); the sums equal numpy's row sums of
+    the squared gaps exactly.
+    """
+    emb_t = np.ascontiguousarray(emb[kept].T)
+    table = np.empty((len(centers), len(kept)), dtype=bool)
+    step = max(1, BALL_BLOCK // len(kept))
+    for start in range(0, len(centers), step):
+        block = emb[centers[start:start + step]]
+
+        def term(col):
+            gap = block[:, col, None] - emb_t[col]
+            return gap * gap
+
+        table[start:start + step] = _pairwise_sum(term, 0, emb.shape[1]) <= radius
+    return table
+
+
 def spectral_init(a_kept, keep, k: int, radius: float, seed=None) -> np.ndarray:
     """Initial labels from ball peeling on the rank-k row embedding.
 
@@ -161,24 +217,19 @@ def spectral_init(a_kept, keep, k: int, radius: float, seed=None) -> np.ndarray:
         raise InsufficientSampleError(
             f"sampled {len(centers_pool)} candidate centers for k={k}")
 
-    # Ball membership over kept vertices for every candidate center, one
-    # center at a time so no (centers, kept, k) temporary is ever allocated.
-    emb_kept = emb[kept]
-    in_ball = np.empty((len(centers_pool), len(kept)), dtype=bool)
-    for i, c in enumerate(centers_pool):
-        diff = emb[c] - emb_kept
-        in_ball[i] = (diff * diff).sum(axis=1) <= radius
+    in_ball = _ball_table(emb, kept, centers_pool, radius)
 
     labels = np.full(n, -1, dtype=np.int64)
     assigned = np.zeros(len(kept), dtype=bool)
     centers = np.empty(k, dtype=np.int64)
+    residual = in_ball.sum(axis=1)  # unassigned kept vertices in each ball
     for c in range(k):
-        residual = (in_ball & ~assigned[None, :]).sum(axis=1)
         pick = int(np.argmax(residual))  # first max: smallest candidate id
         centers[c] = centers_pool[pick]
         members = in_ball[pick] & ~assigned
         labels[kept[members]] = c
         assigned |= members
+        residual -= in_ball[:, members].sum(axis=1)
 
     leftover = kept[~assigned]
     if len(leftover):

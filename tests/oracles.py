@@ -122,6 +122,48 @@ def mismatch_ratio_bruteforce(truth, estimate, k: int) -> float:
     return 1.0 - best / n
 
 
+def ball_table_rowwise(emb, kept, centers, radius: float) -> np.ndarray:
+    """Ball membership of the kept vertices around each center, one center
+    at a time with a row sum of squared gaps (the reference for
+    spectral._ball_table)."""
+    emb_kept = emb[kept]
+    in_ball = np.empty((len(centers), len(kept)), dtype=bool)
+    for i, c in enumerate(centers):
+        diff = emb[c] - emb_kept
+        in_ball[i] = (diff * diff).sum(axis=1) <= radius
+    return in_ball
+
+
+def ball_peeling_rowwise(emb, keep, k: int, radius: float, seed) -> tuple:
+    """Labels of spectral_init on a given embedding, recounting every ball's
+    unassigned members each round."""
+    keep = np.asarray(keep, dtype=bool)
+    n = len(keep)
+    kept = np.flatnonzero(keep)
+    rng = np.random.default_rng(seed)
+    sample_size = min(math.ceil(2.0 * math.log(n) ** 2), len(kept))
+    centers_pool = np.sort(rng.choice(kept, size=sample_size, replace=False))
+    in_ball = ball_table_rowwise(emb, kept, centers_pool, radius)
+    labels = np.full(n, -1, dtype=np.int64)
+    assigned = np.zeros(len(kept), dtype=bool)
+    centers = np.empty(k, dtype=np.int64)
+    for c in range(k):
+        residual = (in_ball & ~assigned[None, :]).sum(axis=1)
+        pick = int(np.argmax(residual))
+        centers[c] = centers_pool[pick]
+        members = in_ball[pick] & ~assigned
+        labels[kept[members]] = c
+        assigned |= members
+    leftover = kept[~assigned]
+    if len(leftover):
+        diff = emb[leftover][:, None, :] - emb[centers][None, :, :]
+        labels[leftover] = np.argmin((diff * diff).sum(axis=2), axis=1)
+    outside = np.flatnonzero(~keep)
+    if len(outside):
+        labels[outside] = rng.integers(0, k, size=len(outside))
+    return labels
+
+
 def count_communities_tight(h) -> CommunityCountEstimate:
     """Eigenvalues of the adjacency above max_degree^(3/4), from the top
     ceil(log n) + 5 eigenpairs all solved to the eigensolver's tight default

@@ -1,11 +1,19 @@
 """Subcommand smoke tests through the argparse entry point."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 import hypersbm as hs
+from hypersbm import pipeline, spectral
 from hypersbm.cli import main
+from hypersbm.errors import ConvergenceError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 CONFIG = """
 n = 60
@@ -208,3 +216,39 @@ def test_overlong_number_is_one_line_and_exit_two(config_path, tmp_path, capsys)
     assert capsys.readouterr().err == (
         f"hypersbm: error: {z_path}: line 2: label must be an integer, "
         "got '99999999999999999999'\n")
+
+
+def test_eigensolver_failure_is_one_line_and_exit_one(config_path, tmp_path, capsys,
+                                                      monkeypatch):
+    h_path = str(tmp_path / "h.txt")
+    main(["sample", "--config", config_path, "--out", h_path])
+    capsys.readouterr()
+
+    def fail(*args, **kwargs):
+        raise ConvergenceError("eigensolver did not converge within 5000 iterations "
+                               "(0/2 eigenpairs found)")
+
+    monkeypatch.setattr(pipeline, "rank_k_approx", fail)
+    monkeypatch.setattr(spectral, "rank_k_approx", fail)
+    for argv in (["estimate-k", "--input", h_path],
+                 ["recover", "--mode", "agnostic", "--input", h_path, "--k", "2"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == ("hypersbm: error: eigensolver did not converge "
+                                           "within 5000 iterations (0/2 eigenpairs found)\n")
+
+
+def test_recover_never_imports_scipy_optimize(config_path, tmp_path):
+    h_path, z_path = str(tmp_path / "h.txt"), str(tmp_path / "z.txt")
+    main(["sample", "--config", config_path, "--out", h_path, "--truth-out", z_path])
+    script = (
+        "import sys, hypersbm, hypersbm.cli\n"
+        "loaded = 'scipy.optimize' in sys.modules\n"
+        f"code = hypersbm.cli.main(['recover', '--mode', 'agnostic', '--input', {h_path!r},"
+        f" '--truth', {z_path!r}, '--k', '2'])\n"
+        "print(loaded, code, 'scipy.optimize' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "mismatch ratio:" in done.stdout
+    assert done.stdout.splitlines()[-1] == "False 0 False"

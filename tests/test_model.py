@@ -117,6 +117,46 @@ def test_edge_count_matches_binomial_mean():
     assert abs(mean - cap * q) <= 3 * sd_of_mean
 
 
+def test_per_type_edge_counts_pass_chi_square():
+    # Over 2000 seeds the edges of each (order, type) class must be
+    # Binomial(capacity, q): a chi-square goodness-of-fit test per class,
+    # bins pooled until each expects at least 5 draws, at a family-wise
+    # significance level of 0.01 split evenly over the 7 classes.
+    from scipy.stats import binom, chisquare
+    seeds, level = 2000, 0.01
+    z = np.array([0] * 5 + [1] * 5)
+    sizes = np.bincount(z)
+    q = {m: np.linspace(0.1, 0.6, len(hs.weak_compositions(m, 2))) for m in (2, 3)}
+    tensors = hs.ProbabilityTensors(k=2, q=q)
+    counts = {(m, i): np.zeros(seeds, dtype=np.int64) for m in q for i in range(len(q[m]))}
+    for s in range(seeds):
+        h = hs.sample_hypergraph(len(z), z, tensors, seed=[s, 5])
+        for m, e in h.edges.items():
+            in_first = (z[e] == 0).sum(axis=1)  # type (j, m - j) for j members in block 0
+            per_type = np.bincount(m - in_first, minlength=m + 1)
+            for i, w in enumerate(hs.weak_compositions(m, 2)):
+                counts[m, i][s] = per_type[w[1]]
+    for (m, i), observed in counts.items():
+        w = hs.weak_compositions(m, 2)[i]
+        cap = hs.capacity(w, sizes)
+        expected = seeds * binom.pmf(np.arange(cap + 1), cap, q[m][i])
+        hist = np.bincount(observed, minlength=cap + 1)
+        obs_bins, exp_bins = [0], [0.0]
+        for o, e in zip(hist, expected):
+            if exp_bins[-1] >= 5:
+                obs_bins.append(0)
+                exp_bins.append(0.0)
+            obs_bins[-1] += o
+            exp_bins[-1] += e
+        if exp_bins[-1] < 5:
+            last_obs, last_exp = obs_bins.pop(), exp_bins.pop()
+            obs_bins[-1] += last_obs
+            exp_bins[-1] += last_exp
+        exp_bins = np.array(exp_bins) * (seeds / sum(exp_bins))
+        p_value = chisquare(obs_bins, exp_bins).pvalue
+        assert p_value > level / len(counts), (m, w, p_value)
+
+
 def test_stratified_sampling_matches_per_edge_bernoulli():
     # every individual pair should be present with its type's probability
     n, seeds = 6, 10**4

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 import hypersbm as hs
 from hypersbm import pipeline
@@ -54,6 +55,41 @@ def test_mismatch_rejects_labels_outside_range():
         hs.mismatch_ratio(np.array([0, 1, 1]), np.array([0, 2, 1]), k=2)
     with pytest.raises(ValueError, match=r"truth labels must lie in \[0, 2\)"):
         hs.mismatch_ratio(np.array([0, -1, 1]), np.array([0, 1, 1]))
+
+
+def test_mismatch_rejects_empty_vectors():
+    empty = np.array([], dtype=np.int64)
+    for k in (None, 2):
+        with pytest.raises(ValueError, match="need at least one vertex"):
+            hs.mismatch_ratio(empty, empty, k=k)
+
+
+@st.composite
+def square_counts(draw):
+    """Integer k x k matrices: small entry ranges (many ties), large ones,
+    and all-zero, constant and scaled permutation matrices."""
+    k = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["small", "large", "zero", "constant", "permutation"]))
+    if kind == "zero":
+        return np.zeros((k, k), dtype=np.int64)
+    if kind == "constant":
+        return np.full((k, k), draw(st.integers(1, 10**6)), dtype=np.int64)
+    if kind == "permutation":
+        weights = np.zeros((k, k), dtype=np.int64)
+        weights[np.arange(k), draw(st.permutations(range(k)))] = draw(st.integers(1, 1000))
+        return weights
+    high = draw(st.sampled_from([1, 2, 3])) if kind == "small" else draw(st.integers(10, 10**12))
+    entries = draw(st.lists(st.integers(0, high), min_size=k * k, max_size=k * k))
+    return np.array(entries, dtype=np.int64).reshape(k, k)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(square_counts())
+def test_max_assignment_matches_scipy(weights):
+    rows, cols = pipeline._max_assignment(weights)
+    expected_rows, expected_cols = linear_sum_assignment(weights, maximize=True)
+    assert np.array_equal(rows, expected_rows)
+    assert np.array_equal(cols, expected_cols)
 
 
 def test_mismatch_equals_bruteforce():

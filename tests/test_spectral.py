@@ -8,9 +8,11 @@ import pytest
 import scipy.sparse as sp
 
 import hypersbm as hs
+from hypersbm import spectral
 from hypersbm.errors import DegenerateDegreeError, InsufficientSampleError
 from hypersbm.model import adjacency_matrix, make_hypergraph
-from oracles import expected_adjacency, reconstruct
+from oracles import (ball_peeling_rowwise, ball_table_rowwise, expected_adjacency,
+                     reconstruct)
 
 
 def two_clique_instance():
@@ -208,6 +210,45 @@ def test_init_requires_enough_kept_vertices():
     keep[0] = True
     with pytest.raises(InsufficientSampleError):
         hs.spectral_init(a, keep, 2, 1.0, seed=0)
+
+
+def grid_embedding(n, k, seed):
+    """Integer coordinates in [-2, 2]: every squared distance is an integer,
+    so an integer radius puts many vertices exactly on a ball's boundary."""
+    return np.random.default_rng(seed).integers(-2, 3, size=(n, k)).astype(float)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_ball_table_matches_rowwise_oracle(k, monkeypatch):
+    rng = np.random.default_rng(k)
+    n = 300
+    kept = np.sort(rng.choice(n, 250, replace=False))
+    centers = np.sort(rng.choice(kept, 41, replace=False))
+    # blocks of four centers, the last one short
+    monkeypatch.setattr(spectral, "BALL_BLOCK", 1000)
+    scaled = rng.standard_normal((n, k)) * rng.uniform(0.01, 100, size=k)
+    gaps = scaled[centers[0]] - scaled[kept]
+    # radii equal to computed distances put a vertex exactly on the boundary
+    cases = [(scaled, r) for r in (gaps * gaps).sum(axis=1)[:10]]
+    cases += [(grid_embedding(n, k, k), float(r)) for r in range(1, 2 * k + 1)]
+    for emb, radius in cases:
+        table = spectral._ball_table(emb, kept, centers, radius)
+        assert np.array_equal(table, ball_table_rowwise(emb, kept, centers, radius))
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+@pytest.mark.parametrize("grid", [True, False])
+def test_init_matches_ball_peeling_oracle(k, grid, monkeypatch):
+    n = 400
+    rng = np.random.default_rng(100 + k)
+    vectors = grid_embedding(n, k, k) if grid else rng.standard_normal((n, k))
+    approx = spectral.LowRankApprox(values=np.ones(k), vectors=vectors)
+    monkeypatch.setattr(spectral, "rank_k_approx", lambda a, rank: approx)
+    keep = rng.random(n) > 0.1
+    radius = float(k)
+    labels = hs.spectral_init(sp.csr_matrix((n, n)), keep, k, radius, seed=[k, 1])
+    expected = ball_peeling_rowwise(approx.embedding(), keep, k, radius, [k, 1])
+    assert np.array_equal(labels, expected)
 
 
 def test_init_weak_consistency_on_planted_instances():
