@@ -364,17 +364,52 @@ def sample_hypergraph(n: int, labels, tensors: ProbabilityTensors, seed=None) ->
 
 def adjacency_matrix(h: Hypergraph) -> sp.csr_matrix:
     """Symmetric pair-incidence counts as a float64 CSR matrix: entry (i, j)
-    is the number of edges containing both i and j; the diagonal is zero."""
-    rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for m, e in h.edges.items():
+    is the number of edges containing both i and j; the diagonal is zero.
+
+    The upper-triangle pairs are gathered as int32 and counted in int32;
+    only the finished counts become float64, and the result shares their
+    index arrays.  The build peaks at about 1.4 times the memory of its
+    result.  A count is at most the number of edges, which stays below
+    2^31 for any graph whose edge arrays fit in memory, so it cannot wrap.
+    Vertex ids must fit in int32: n > 2^31 - 1 is a ValueError.
+    """
+    return _pair_counts(h.n, h.edges)
+
+
+def live_adjacency(h: Hypergraph, live) -> sp.csr_matrix:
+    """``adjacency_matrix(h)[live][:, live]`` for a boolean mask ``live``
+    that holds every vertex of every edge, built without the full matrix.
+
+    Vertex v becomes ``cumsum(live)[v] - 1``; the map is increasing, so
+    relabelled rows stay canonical and the arrays equal those of the slice.
+    """
+    ids = np.cumsum(live) - 1
+    return _pair_counts(int(ids[-1]) + 1, h.edges, ids)
+
+
+def _pair_counts(n: int, edges: dict, ids=None) -> sp.csr_matrix:
+    """Float64 CSR pair counts on n vertices of the edge arrays, with each
+    vertex v renamed ``ids[v]`` when ``ids`` is given."""
+    if n > 2**31 - 1:
+        raise ValueError(f"adjacency matrix needs n <= 2**31 - 1, got n={n}")
+    rows, cols = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
+    for m, e in edges.items():
+        if ids is not None:
+            e = ids[e]
         for a in range(m):
             for b in range(a + 1, m):
                 rows.append(e[:, a])
                 cols.append(e[:, b])
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    upper = sp.coo_matrix((np.ones(len(r)), (r, c)), shape=(h.n, h.n)).tocsr()
-    return upper + upper.T
+    r = np.concatenate(rows, dtype=np.int32)
+    c = np.concatenate(cols, dtype=np.int32)
+    del rows, cols
+    ones = np.ones(len(r), dtype=np.int32)
+    upper = sp.coo_matrix((ones, (r, c)), shape=(n, n)).tocsr()
+    del r, c, ones
+    counts = upper + upper.T
+    del upper
+    return sp.csr_matrix((counts.data.astype(np.float64), counts.indices, counts.indptr),
+                         shape=(n, n))
 
 
 def max_expected_degree(tensors: ProbabilityTensors, alpha, n: int) -> float:

@@ -16,6 +16,7 @@ from .model import (
     Hypergraph,
     ProbabilityTensors,
     adjacency_matrix,
+    live_adjacency,
     max_expected_degree,
     validate_prior,
 )
@@ -172,10 +173,9 @@ def agnostic_partition(h: Hypergraph, k: int, seed: int = 0, truth=None) -> Reco
     if k < 1:
         raise ValueError("need k >= 1")
     degrees = h.degrees()
-    a = adjacency_matrix(h)
     keep = keep_by_mean_degree(degrees)
-    a_kept = trim(a, keep)
-    stage1 = spectral_init(a_kept, keep, k, default_radius(degrees), seed=[seed, 1])
+    stage1 = spectral_init(trim(adjacency_matrix(h), keep), keep, k,
+                           default_radius(degrees), seed=[seed, 1])
     labels, rounds, converged = agnostic_refine(h, stage1, k, seed=seed)
     return _finish_report(truth, k, labels, stage1, int(keep.sum()), rounds, converged)
 
@@ -204,10 +204,10 @@ def partition_with_prior(h: Hypergraph, k: int, tensors: ProbabilityTensors,
     cap = prior_degree_cap(tensors0, h.n)
     degrees0 = parts.first.degrees()
     keep = keep_by_degree_cap(degrees0, cap)
-    a_kept = trim(adjacency_matrix(parts.first), keep)
     rho0 = max_expected_degree(tensors0, alpha, h.n)
     radius = radius_from_degree_scale(rho0, h.n)
-    stage1 = spectral_init(a_kept, keep, k, radius, seed=[seed, 1])
+    stage1 = spectral_init(trim(adjacency_matrix(parts.first), keep), keep, k, radius,
+                           seed=[seed, 1])
 
     tensors1 = tensors.scaled_by(1.0 - parts.probability) if split_adjust else tensors
     labels = map_correct(parts.second, stage1, tensors1, alpha)
@@ -285,12 +285,10 @@ def estimate_num_communities(h: Hypergraph, num_eigenvalues: int = None) -> Comm
         raise ValueError(f"need at least one eigenvalue, got {num_eigenvalues}")
     else:
         num = min(h.n, num_eigenvalues)
-    a = adjacency_matrix(h)
-    live = np.flatnonzero(degrees)
-    isolated = h.n - len(live)
-    if isolated:
-        a = a[live][:, live]
-    solve = min(num, len(live))
+    live = degrees > 0
+    isolated = h.n - int(live.sum())
+    a = live_adjacency(h, live) if isolated else adjacency_matrix(h)
+    solve = min(num, h.n - isolated)
     vals = rank_k_approx(a, solve, tol=COUNT_TOL).values
     if np.any(np.abs(vals - threshold) <= COUNT_TOL * np.abs(vals)):
         vals = rank_k_approx(a, solve).values

@@ -104,9 +104,16 @@ def prior_degree_cap(tensors: ProbabilityTensors, n: int) -> float:
 
 
 def trim(a, keep) -> sp.csr_matrix:
-    """Float64 CSR copy of a sparse matrix without the stored entries in the
-    rows and columns outside the keep set."""
+    """Float64 CSR matrix of a sparse matrix without the stored entries in
+    the rows and columns outside the keep set.
+
+    When the keep set is every vertex and ``a`` is already a float64 CSR
+    matrix, nothing is dropped and ``a`` itself is returned; otherwise the
+    result is a new matrix.
+    """
     drop = ~np.asarray(keep, dtype=bool)
+    if not drop.any() and a.format == "csr" and a.dtype == np.float64:
+        return a
     out = a.tocsr().astype(np.float64)
     out.data[np.repeat(drop, np.diff(out.indptr)) | drop[out.indices]] = 0.0
     out.eliminate_zeros()

@@ -176,6 +176,13 @@ def count_communities_tight(h) -> CommunityCountEstimate:
     return CommunityCountEstimate(k_hat=k_hat, eigenvalues=vals, threshold=threshold)
 
 
+def live_adjacency_slice(h, live):
+    """The adjacency of the vertices in the boolean mask ``live``, sliced
+    out of the full matrix."""
+    ids = np.flatnonzero(live)
+    return adjacency_matrix(h)[ids][:, ids]
+
+
 def read_hypergraph_lines(path) -> Hypergraph:
     """Parse and validate the hypergraph text format one line at a time
     with int() (the reference for model.read_hypergraph)."""

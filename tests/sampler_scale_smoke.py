@@ -24,13 +24,19 @@ WITHIN = {2: 12.0, 3: 14.0, 4: 10.0}
 CROSS = {2: 2.0, 3: 3.0, 4: 2.0}
 
 
-def main(seed: int) -> int:
+def sample(seed: int):
+    """The seeded n = 1e5 instance: (hypergraph, true labels, tensors)."""
     coeffs = hs.two_level_coefficients(K, WITHIN, CROSS)
     tensors = hs.ProbabilityTensors.from_unscaled(K, coeffs, N)
     truth = hs.sample_membership(N, [0.5, 0.5], seed=[seed, 11])
     start = time.perf_counter()
     h = hs.sample_hypergraph(N, truth, tensors, seed=[seed, 12])
     print(f"sampled {h.num_edges()} edges in {time.perf_counter() - start:.1f} s")
+    return h, truth, tensors
+
+
+def main(seed: int) -> int:
+    h, truth, tensors = sample(seed)
     sizes = np.bincount(truth, minlength=K)
     failed = 0
     for m in tensors.orders:

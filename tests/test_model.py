@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from oracles import (
     canonical_edge_array_lexsort,
     composition_index,
     expected_adjacency,
+    live_adjacency_slice,
     read_hypergraph_lines,
     read_membership_lines,
     sample_distinct_dict,
@@ -500,6 +502,59 @@ def test_adjacency_matches_bruteforce_on_random_instances():
         relabelled = hs.adjacency_matrix(
             make_hypergraph(h.n, {m: pi[e] for m, e in h.edges.items()})).toarray()
         assert np.array_equal(relabelled[np.ix_(pi, pi)], a)
+
+
+def _csr_digest(a):
+    digest = hashlib.sha256()
+    for name in ("indptr", "indices", "data"):
+        x = getattr(a, name)
+        digest.update(f"{name}:{x.dtype.str}:{len(x)}:".encode())
+        digest.update(x.tobytes())
+    return digest.hexdigest()
+
+
+def test_adjacency_matches_golden_digest():
+    # pinned from the int64/float64 build; sums of ones are exact, so any
+    # build must give the same arrays and dtypes
+    h = _two_level_sample(2000, 2, {2: 12.0, 3: 14.0, 4: 10.0}, {2: 2.0, 3: 3.0, 4: 2.0}, 5, 6)
+    a = hs.adjacency_matrix(h)
+    assert a.nnz == 393900
+    assert (a.indptr.dtype, a.indices.dtype, a.data.dtype) == (np.int32, np.int32, np.float64)
+    assert _csr_digest(a) == "910b11468fe1eb99a6bc656fcd4868f800e0e255a17f076880130f7b305471cf"
+
+
+def test_adjacency_build_peaks_below_twice_its_result():
+    h = _two_level_sample(20000, 4, {2: 12.0, 3: 14.0, 4: 10.0}, {2: 1.0, 3: 1.5, 4: 1.0},
+                          [7, 11], [7, 12])
+    tracemalloc.start()
+    try:
+        a = hs.adjacency_matrix(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result = a.indptr.nbytes + a.indices.nbytes + a.data.nbytes
+    assert peak <= 2 * result, (peak, result)
+
+
+def test_adjacency_rejects_ids_beyond_int32():
+    h = Hypergraph(2**31, {2: np.empty((0, 2), dtype=np.int64)})
+    with pytest.raises(ValueError, match=r"^adjacency matrix needs n <= 2\*\*31 - 1, got n=2147483648$"):
+        hs.adjacency_matrix(h)
+
+
+def test_live_adjacency_equals_the_slice():
+    # 1999 sampled vertices spread over n = 3000, so 1001 are isolated
+    core = _two_level_sample(1999, 2, {2: 12.0, 3: 14.0}, {2: 2.0, 3: 3.0}, 8, 9)
+    spots = np.sort(np.random.default_rng(10).choice(3000, size=1999, replace=False))
+    h = Hypergraph(3000, {m: spots[e] for m, e in core.edges.items()})
+    h.validate()
+    live = h.degrees() > 0
+    assert (~live).sum() >= 1001
+    got, want = model.live_adjacency(h, live), live_adjacency_slice(h, live)
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert got.shape == want.shape and got.has_canonical_format
 
 
 # ---------------------------------------------------------------------------

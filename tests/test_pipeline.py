@@ -10,7 +10,7 @@ import hypersbm as hs
 from hypersbm import pipeline
 from hypersbm.errors import DegenerateDegreeError
 from hypersbm.model import Hypergraph, adjacency_matrix, make_hypergraph
-from oracles import count_communities_tight, mismatch_ratio_bruteforce
+from oracles import count_communities_tight, live_adjacency_slice, mismatch_ratio_bruteforce
 
 
 def two_clique_instance():
@@ -335,3 +335,20 @@ def test_count_includes_zero_eigenvalues_of_isolated_vertices(num):
     assert len(est.eigenvalues) == (11 if num is None else num)
     assert np.allclose(est.eigenvalues, want, rtol=0, atol=1e-8)
     assert est.k_hat == 1
+
+
+def test_count_with_isolated_vertices_equals_the_count_on_the_slice(monkeypatch):
+    # 1999 sampled vertices spread over n = 3000, so 1001 are isolated
+    coeffs = hs.two_level_coefficients(2, {2: 12.0, 3: 14.0}, {2: 2.0, 3: 3.0})
+    T = hs.ProbabilityTensors.from_unscaled(2, coeffs, 1999)
+    z = hs.sample_membership(1999, [0.5, 0.5], seed=[2, 11])
+    core = hs.sample_hypergraph(1999, z, T, seed=[2, 12])
+    spots = np.sort(np.random.default_rng(10).choice(3000, size=1999, replace=False))
+    h = Hypergraph(3000, {m: spots[e] for m, e in core.edges.items()})
+    assert (h.degrees() == 0).sum() >= 1001
+    est = hs.estimate_num_communities(h)
+    monkeypatch.setattr(pipeline, "live_adjacency", live_adjacency_slice)
+    sliced = hs.estimate_num_communities(h)
+    assert est.k_hat == sliced.k_hat == 2
+    assert est.threshold == sliced.threshold
+    assert np.array_equal(est.eigenvalues, sliced.eigenvalues)

@@ -75,6 +75,20 @@ def test_trim_idempotent():
     assert (once != twice).nnz == 0
 
 
+def test_trim_returns_its_input_when_nothing_is_dropped():
+    h, _ = two_clique_instance()
+    a = adjacency_matrix(h)
+    assert hs.trim(a, np.ones(8, dtype=bool)) is a
+    # anything else is a new float64 canonical CSR matrix
+    keep = np.array([True] * 6 + [False] * 2)
+    for source, mask in ((a, keep), (a.tocoo(), np.ones(8, dtype=bool)),
+                         (a.astype(np.int64), np.ones(8, dtype=bool))):
+        out = hs.trim(source, mask)
+        assert out is not source and not np.shares_memory(out.data, a.data)
+        assert out.format == "csr" and out.dtype == np.float64 and out.has_canonical_format
+        assert np.array_equal(out.toarray(), a.toarray() * np.outer(mask, mask))
+
+
 def test_degree_cap_rule():
     keep = hs.keep_by_degree_cap(np.array([3, 10, 4]), 4.5)
     assert keep.tolist() == [True, False, True]
