@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import platform
 import re
 import tracemalloc
 
@@ -540,6 +541,13 @@ def test_adjacency_rejects_ids_beyond_int32():
     h = Hypergraph(2**31, {2: np.empty((0, 2), dtype=np.int64)})
     with pytest.raises(ValueError, match=r"^adjacency matrix needs n <= 2\*\*31 - 1, got n=2147483648$"):
         hs.adjacency_matrix(h)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc_trim is glibc's")
+def test_adjacency_build_finds_malloc_trim_under_glibc():
+    # without it the build's peak resident memory depends on the heap's history
+    assert model._MALLOC_TRIM is not None
+    model._release_free_heap()
 
 
 def test_live_adjacency_equals_the_slice():
