@@ -9,7 +9,6 @@ contract, so sweeps can be sharded across processes and reproduced exactly.
 import ctypes
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -356,7 +355,14 @@ def phase_sweep(config: ExperimentConfig, workers: int = 1):
     points = grid_points(config)
     jobs = [(config, point, config.seed + t)
             for point in points for t in range(config.trials)]
+    # Every trial needs the sparse stack.  Loading it once here, before the
+    # first trial and before the fork, keeps its import out of each worker
+    # and out of the first trial's wall_ms, and lets _cap_blas_threads see
+    # the OpenBLAS that scipy brings.
+    import scipy.sparse.linalg  # noqa: F401
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers, initializer=_cap_blas_threads,
                                  initargs=(workers,)) as pool:
             records = list(pool.map(_run_trial_job, jobs))

@@ -13,9 +13,12 @@ file formats use 1-based ids.
 import ctypes
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 from .compositions import (
     _binomial_tables,
@@ -363,7 +366,7 @@ def sample_hypergraph(n: int, labels, tensors: ProbabilityTensors, seed=None) ->
 # Matrix and degree summaries
 # ---------------------------------------------------------------------------
 
-def adjacency_matrix(h: Hypergraph) -> sp.csr_matrix:
+def adjacency_matrix(h: Hypergraph) -> "sp.csr_matrix":
     """Symmetric pair-incidence counts as a float64 CSR matrix: entry (i, j)
     is the number of edges containing both i and j; the diagonal is zero.
 
@@ -380,7 +383,7 @@ def adjacency_matrix(h: Hypergraph) -> sp.csr_matrix:
     return _pair_counts(h.n, h.edges)
 
 
-def live_adjacency(h: Hypergraph, live) -> sp.csr_matrix:
+def live_adjacency(h: Hypergraph, live) -> "sp.csr_matrix":
     """``adjacency_matrix(h)[live][:, live]`` for a boolean mask ``live``
     that holds every vertex of every edge, built without the full matrix.
 
@@ -415,9 +418,11 @@ def _release_free_heap() -> None:
         _MALLOC_TRIM(0)
 
 
-def _pair_counts(n: int, edges: dict, ids=None) -> sp.csr_matrix:
+def _pair_counts(n: int, edges: dict, ids=None) -> "sp.csr_matrix":
     """Float64 CSR pair counts on n vertices of the edge arrays, with each
     vertex v renamed ``ids[v]`` when ``ids`` is given."""
+    import scipy.sparse as sp  # not at module level: sampling and thresholds need no scipy
+
     if n > 2**31 - 1:
         raise ValueError(f"adjacency matrix needs n <= 2**31 - 1, got n={n}")
     rows, cols = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]

@@ -7,14 +7,16 @@ greedily peeling the largest balls of a fixed radius around sampled centers.
 """
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DegenerateDegreeError, InsufficientSampleError
 from .model import ProbabilityTensors
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,9 @@ def rank_k_approx(a, k: int, tol: float = 1e-8) -> LowRankApprox:
     fixed seeded start vector, so repeated calls agree bit for bit; small or
     nearly full-rank problems fall back to a dense solve.
     """
+    import scipy.sparse as sp  # not at module level: sampling and thresholds need no scipy
+    import scipy.sparse.linalg as spla
+
     n = a.shape[0]
     if k < 1 or k > n:
         raise ValueError(f"rank k={k} must be in [1, {n}]")
@@ -103,7 +108,7 @@ def prior_degree_cap(tensors: ProbabilityTensors, n: int) -> float:
     return tensors.max_order * d_max
 
 
-def trim(a, keep) -> sp.csr_matrix:
+def trim(a, keep) -> "sp.csr_matrix":
     """Float64 CSR matrix of a sparse matrix without the stored entries in
     the rows and columns outside the keep set.
 

@@ -1,10 +1,12 @@
 """Probes of the OpenBLAS thread counts, for the process-pool tests.
 
-``blas_threads_job`` stands in for ``harness._run_trial_job`` so that a
-sweep's pool workers report their own counts instead of running trials.
+``blas_threads_job`` and ``sparse_stack_job`` stand in for
+``harness._run_trial_job`` so that a sweep's jobs report on their own
+process instead of running trials.
 """
 
 import ctypes
+import sys
 from types import SimpleNamespace
 
 from hypersbm import harness
@@ -26,3 +28,11 @@ def blas_thread_counts() -> dict:
 def blas_threads_job(args):
     # eta_final is what phase_sweep aggregates; None counts as no recovery
     return SimpleNamespace(eta_final=None, threads=blas_thread_counts())
+
+
+def sparse_stack_job(args):
+    """Whether the sparse stack was loaded before this job began; then the
+    thread counts once it is loaded, as a trial would load it."""
+    loaded = "scipy.sparse.linalg" in sys.modules
+    import scipy.sparse.linalg  # noqa: F401
+    return SimpleNamespace(eta_final=None, loaded=loaded, threads=blas_thread_counts())

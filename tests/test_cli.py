@@ -237,6 +237,28 @@ def test_eigensolver_failure_is_one_line_and_exit_one(config_path, tmp_path, cap
                                            "within 5000 iterations (0/2 eigenpairs found)\n")
 
 
+def test_import_threshold_and_sample_load_no_scipy(config_path, tmp_path):
+    h_path = str(tmp_path / "h.txt")
+    script = (
+        "import sys, hypersbm, hypersbm.cli\n"
+        "def scipy_modules():\n"
+        "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "loaded = [scipy_modules()]\n"
+        f"codes = [hypersbm.cli.main(['threshold', '--config', {config_path!r}])]\n"
+        "loaded.append(scipy_modules())\n"
+        f"codes.append(hypersbm.cli.main(['sample', '--config', {config_path!r},"
+        f" '--out', {h_path!r}]))\n"
+        "loaded.append(scipy_modules())\n"
+        "print(codes, loaded)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "achievable" in done.stdout
+    assert done.stdout.splitlines()[-1] == "[0, 0] [[], [], []]"
+    assert hs.read_hypergraph(h_path).n == 60
+
+
 def test_recover_never_imports_scipy_optimize(config_path, tmp_path):
     h_path, z_path = str(tmp_path / "h.txt"), str(tmp_path / "z.txt")
     main(["sample", "--config", config_path, "--out", h_path, "--truth-out", z_path])

@@ -189,14 +189,15 @@ needs_openblas = pytest.mark.skipif(not blas_thread_counts(),
                                     reason="no OpenBLAS library found in /proc/self/maps")
 
 
-def run_python(script, **env_vars):
-    """Run ``script`` in a fresh interpreter with src/ and tests/ importable
-    and the BLAS thread variables replaced by ``env_vars``; its stdout as JSON."""
+def run_python(script, *args, **env_vars):
+    """Run ``script`` with ``args`` in a fresh interpreter with src/ and
+    tests/ importable and the BLAS thread variables replaced by
+    ``env_vars``; its stdout as JSON."""
     env = {key: val for key, val in os.environ.items() if key not in THREAD_VARS}
     env.update(env_vars)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
 
@@ -214,6 +215,7 @@ def test_pool_workers_split_the_cpus_between_them(monkeypatch):
 
 @needs_openblas
 def test_sweeps_leave_the_parent_blas_threads_alone():
+    import scipy.sparse.linalg  # noqa: F401  (a sweep loads scipy's OpenBLAS too)
     before = blas_thread_counts()
     cfg = hs.parse_config(SWEEP_CONFIG)
     for workers in (1, 2):
@@ -239,6 +241,37 @@ def test_pool_workers_keep_a_user_set_thread_count(var):
     out = run_python(KEEPS_USER_THREADS, **{var: str(CPUS)})
     assert set(out["parent"].values()) == {CPUS} != {max(1, CPUS // 2)}
     assert out["workers"] == [out["parent"]] * len(out["workers"])
+
+
+SPARSE_STACK_SWEEP = f"""
+import json, sys
+import hypersbm as hs
+from hypersbm import harness
+from blas_probe import sparse_stack_job
+harness._run_trial_job = sparse_stack_job
+before = "scipy" in sys.modules
+records, _ = hs.phase_sweep(hs.parse_config({SWEEP_CONFIG!r}), workers=int(sys.argv[1]))
+print(json.dumps({{"before": before, "loaded": [r.loaded for r in records],
+                  "workers": [r.threads for r in records]}}))
+"""
+
+
+@needs_openblas
+@pytest.mark.skipif(CPUS < 2, reason="the cap must differ from OpenBLAS's own default")
+def test_pool_workers_cap_the_blas_that_scipy_loads():
+    # in a fresh process the sweep must load scipy's own OpenBLAS before it
+    # forks, or the workers load it uncapped when their first trial runs
+    out = run_python(SPARSE_STACK_SWEEP, "2")
+    assert out["before"] is False
+    assert all(out["loaded"]) and len(out["loaded"]) == 4
+    for threads in out["workers"]:
+        assert threads and set(threads.values()) == {max(1, CPUS // 2)}
+
+
+def test_sequential_sweep_loads_the_sparse_stack_before_its_first_trial():
+    out = run_python(SPARSE_STACK_SWEEP, "1")
+    assert out["before"] is False
+    assert out["loaded"] == [True] * 4
 
 
 SWEEP_AND_PARTITION = f"""
