@@ -100,12 +100,40 @@ class ExperimentConfig:
             layer.coefficients(self.k)  # fail fast on malformed layers
 
 
+# Pipeline failures a trial records instead of raising.
+CAPTURED_ERRORS = (ValueError, ConvergenceError)
+
+
+def _error_text(exc) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 @dataclass(frozen=True)
 class GridPoint:
     point_id: int
     n: int
     sweep_value: float
     coefficients: dict  # order -> unscaled coefficient array
+
+    def _threshold(self, alpha) -> tuple:
+        """(d_gch, verdict, error) of this point under the prior ``alpha``,
+        with error the text of a captured failure (and the other two None).
+
+        Every trial at the point shares the result, so it is computed on
+        first use and kept on the point, outside its fields; the point
+        carries it into the processes of a parallel sweep.
+        """
+        alpha = tuple(float(a) for a in alpha)
+        cached = self.__dict__.get("_threshold_cache")
+        if cached is None or cached[0] != alpha:
+            try:
+                value = chernoff_hellinger(alpha, self.coefficients, self.n).value
+                outcome = (value, classify_regime(value).label, None)
+            except CAPTURED_ERRORS as exc:
+                outcome = (None, None, _error_text(exc))
+            cached = (alpha, outcome)
+            self.__dict__["_threshold_cache"] = cached  # frozen: no __setattr__
+        return cached[1]
 
 
 def _parse_kv_tokens(tokens, required):
@@ -127,8 +155,9 @@ def parse_config(text: str) -> ExperimentConfig:
     Plain lines are ``key = value`` with keys n, k, alpha, mode, trials,
     seed, out; n and alpha accept comma-separated lists.  ``layer`` lines
     declare one order each: ``layer order=2 within=9 cross=1`` or
-    ``layer order=3 values=20,4,4,4`` (canonical composition order).  An
-    optional ``sweep`` line varies one layer field over a list:
+    ``layer order=3 values=20,4,4,4`` (canonical composition order); an
+    order declared twice is an error.  An optional ``sweep`` line varies one
+    field of a declared layer over a list:
     ``sweep order=2 field=within values=2,4,6``.  ``#`` starts a comment.
     """
     scalars = {}
@@ -148,6 +177,8 @@ def parse_config(text: str) -> ExperimentConfig:
             )
             if kv:
                 raise ValueError(f"unknown layer fields {sorted(kv)}")
+            if any(l.order == spec.order for l in layers):
+                raise ValueError(f"layer order={spec.order} is declared twice")
             layers.append(spec)
         elif line.startswith("sweep"):
             kv = _parse_kv_tokens(line.split()[1:], ("order", "field", "values"))
@@ -166,6 +197,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if "n" not in scalars:
         raise ValueError("config lacks the required key n")
+    if sweep is not None and all(l.order != sweep.order for l in layers):
+        raise ValueError(f"sweep order={sweep.order} names no declared layer")
     k = int(scalars.get("k", 2))
     if k < 1:
         raise ValueError(f"need k >= 1 communities, got k={k}")
@@ -230,9 +263,6 @@ def _round9(x):
     return None if x is None else float(f"{x:.9g}")
 
 
-CAPTURED_ERRORS = (ValueError, ConvergenceError)
-
-
 def sample_instance(config: ExperimentConfig, point: GridPoint, seed: int):
     """The (tensors, truth, hypergraph) of one (point, seed) job; labels draw
     from the stream [seed, 11] and edges from [seed, 12]."""
@@ -245,27 +275,27 @@ def sample_instance(config: ExperimentConfig, point: GridPoint, seed: int):
 def run_trial(config: ExperimentConfig, point: GridPoint, seed: int) -> TrialRecord:
     """Sample one instance at a grid point, run the configured pipeline,
     and score it against the sampled truth.  Pipeline failures are recorded,
-    not raised."""
+    not raised.  The point's threshold is computed by its first trial and
+    shared by the rest (``phase_sweep`` computes it before any trial)."""
     start = time.perf_counter()
-    d_gch = None
-    verdict = None
+    d_gch = verdict = error = None
     try:
         tensors, truth, h = sample_instance(config, point, seed)
         if config.k >= 2:
-            report = chernoff_hellinger(config.alpha, point.coefficients, point.n)
-            d_gch = report.value
-            verdict = classify_regime(d_gch).label
-        if config.mode == "agnostic":
-            rec = agnostic_partition(h, config.k, seed=seed, truth=truth)
-        else:
-            rec = partition_with_prior(h, config.k, tensors, config.alpha,
-                                       seed=seed, truth=truth)
+            d_gch, verdict, error = point._threshold(config.alpha)
+        if error is None:
+            if config.mode == "agnostic":
+                rec = agnostic_partition(h, config.k, seed=seed, truth=truth)
+            else:
+                rec = partition_with_prior(h, config.k, tensors, config.alpha,
+                                           seed=seed, truth=truth)
     except CAPTURED_ERRORS as exc:
-        wall = (time.perf_counter() - start) * 1000.0
+        error = _error_text(exc)
+    wall = (time.perf_counter() - start) * 1000.0
+    if error is not None:
         return TrialRecord(point_id=point.point_id, n=point.n, seed=seed,
                            d_gch=_round9(d_gch), verdict=verdict,
-                           wall_ms=_round9(wall), error=f"{type(exc).__name__}: {exc}")
-    wall = (time.perf_counter() - start) * 1000.0
+                           wall_ms=_round9(wall), error=error)
     return TrialRecord(point_id=point.point_id, n=point.n, seed=seed,
                        d_gch=_round9(d_gch), verdict=verdict,
                        eta_stage1=_round9(rec.eta_stage1),
@@ -360,6 +390,11 @@ def phase_sweep(config: ExperimentConfig, workers: int = 1):
     # and out of the first trial's wall_ms, and lets _cap_blas_threads see
     # the OpenBLAS that scipy brings.
     import scipy.sparse.linalg  # noqa: F401
+    # Each point's threshold, computed once here, travels with its jobs and
+    # stays out of every trial's wall_ms.
+    if config.k >= 2:
+        for point in points:
+            point._threshold(config.alpha)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

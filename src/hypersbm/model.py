@@ -198,6 +198,13 @@ def _row_steps(e: np.ndarray) -> np.ndarray:
     return steps
 
 
+# Compare-exchanges of column pairs that sort rows of up to four columns:
+# the same rows as ``np.sort(axis=1)``, without its per-row overhead, and
+# in place, so the sort needs one column of scratch beyond its output.
+_SORTING_NETWORKS = {2: ((0, 1),), 3: ((0, 1), (1, 2), (0, 1)),
+                     4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))}
+
+
 def _canonical_edge_array(rows: np.ndarray, m: int) -> np.ndarray:
     """Sort vertices within rows, then rows lexicographically.
 
@@ -210,16 +217,23 @@ def _canonical_edge_array(rows: np.ndarray, m: int) -> np.ndarray:
     """
     if len(rows) == 0:
         return np.empty((0, m), dtype=np.int64)
-    rows = np.sort(np.asarray(rows, dtype=np.int64), axis=1)
+    if m in _SORTING_NETWORKS:
+        rows = np.array(rows, dtype=np.int64)  # a copy, sorted in place
+        for a, b in _SORTING_NETWORKS[m]:
+            low = np.minimum(rows[:, a], rows[:, b])
+            np.maximum(rows[:, a], rows[:, b], out=rows[:, b])
+            rows[:, a] = low
+    else:
+        rows = np.sort(np.asarray(rows, dtype=np.int64), axis=1)
     top = int(rows[:, -1].max())
     if (rows[:, 0].min() < 0 or top >= len(rows) or math.comb(top + 1, m) >= 2**63
             or np.any(rows[:, 1:] == rows[:, :-1])):
-        return rows[np.lexsort(rows.T[::-1])]
+        return np.take(rows, np.lexsort(rows.T[::-1]), axis=0)
     tables = _binomial_tables(top, m)
     key = np.zeros(len(rows), dtype=np.int64)
     for j in range(m):
-        key -= tables[m - j, top - rows[:, j]]
-    return rows[np.argsort(key)]
+        key -= np.take(tables[m - j], top - rows[:, j])
+    return np.take(rows, np.argsort(key), axis=0)
 
 
 def make_hypergraph(n: int, edges: dict) -> Hypergraph:
@@ -373,9 +387,10 @@ def adjacency_matrix(h: Hypergraph) -> "sp.csr_matrix":
     The upper-triangle pairs are gathered as int32 and counted in int32;
     only the finished counts become float64, and the result shares their
     index arrays.  The build peaks at about 1.4 times the memory of its
-    result.  It hands the C heap's free pages back to the operating system
-    after it frees its pair lists and again after the sum, so its peak
-    resident memory does not depend on what earlier work left behind.
+    result.  A build of at least 2^17 pairs hands the C heap's free pages
+    back to the operating system after it frees its pair lists and again
+    after the sum, so its peak resident memory does not depend on what
+    earlier work left behind.
     A count is at most the number of edges, which stays below 2^31 for any
     graph whose edge arrays fit in memory, so it cannot wrap.
     Vertex ids must fit in int32: n > 2^31 - 1 is a ValueError.
@@ -410,6 +425,10 @@ def _glibc_malloc_trim():
 # resident memory of the same CLI recovery at n=10000 was 130 or 148 MB from
 # one run to the next.
 _MALLOC_TRIM = _glibc_malloc_trim()
+# Builds of fewer pairs skip the trims.  A trim walks the whole heap and the
+# pages it returns fault back in on the next allocations, and a build this
+# small (an n=2000 sweep instance has 37-65K pairs) does not set the peak.
+_TRIM_MIN_PAIRS = 1 << 17
 
 
 def _release_free_heap() -> None:
@@ -436,13 +455,16 @@ def _pair_counts(n: int, edges: dict, ids=None) -> "sp.csr_matrix":
     r = np.concatenate(rows, dtype=np.int32)
     c = np.concatenate(cols, dtype=np.int32)
     del rows, cols
+    trim = len(r) >= _TRIM_MIN_PAIRS
     ones = np.ones(len(r), dtype=np.int32)
     upper = sp.coo_matrix((ones, (r, c)), shape=(n, n)).tocsr()
     del r, c, ones
-    _release_free_heap()
+    if trim:
+        _release_free_heap()
     counts = upper + upper.T
     del upper
-    _release_free_heap()
+    if trim:
+        _release_free_heap()
     return sp.csr_matrix((counts.data.astype(np.float64), counts.indices, counts.indptr),
                          shape=(n, n))
 

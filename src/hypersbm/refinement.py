@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compositions import (capacity_vector, composition_rank, member_drop_table,
-                           member_lift_table, num_weak_compositions)
+from .compositions import (capacity_vector, member_drop_table, member_lift_table,
+                           num_weak_compositions)
 from .model import Hypergraph, ProbabilityTensors, validate_prior
 
 
@@ -24,11 +24,16 @@ from .model import Hypergraph, ProbabilityTensors, validate_prior
 # ---------------------------------------------------------------------------
 
 def _edge_types(edge_labels: np.ndarray, k: int) -> np.ndarray:
-    """Canonical type index of each edge from its members' labels (E, m)."""
-    num, m = edge_labels.shape
-    slots = np.arange(num, dtype=np.int64)[:, None] * k + edge_labels
-    counts = np.bincount(slots.ravel(), minlength=num * k).reshape(num, k)
-    return composition_rank(counts, m)
+    """Canonical type index of each edge from its members' labels (E, m).
+
+    The type of the first member alone is its label; each further member
+    lifts the type of the members before it through ``member_lift_table``.
+    """
+    types = edge_labels[:, 0].astype(np.int64)
+    for j in range(1, edge_labels.shape[1]):
+        lift = member_lift_table(j + 1, k)
+        types = np.take(lift, edge_labels[:, j] * lift.shape[1] + types)
+    return types
 
 
 def edge_composition_counts(h: Hypergraph, labels, k: int) -> dict:
@@ -45,11 +50,12 @@ def edge_type_count_matrix(h: Hypergraph, labels, k: int) -> dict:
     labels = np.asarray(labels, dtype=np.int64)
     out = {}
     for m, e in h.edges.items():
-        edge_labels = labels[e]
-        others = member_drop_table(m, k)[_edge_types(edge_labels, k)[:, None], edge_labels]
+        index = labels[e]  # member labels, then flat indices into the drop table
+        index += k * _edge_types(index, k)[:, None]
         width = num_weak_compositions(m - 1, k)
-        slots = (e * width + others).ravel()
-        out[m] = np.bincount(slots, minlength=h.n * width).reshape(h.n, width)
+        slots = np.multiply(e, width, dtype=np.int64)
+        slots += np.take(member_drop_table(m, k), index)
+        out[m] = np.bincount(slots.ravel(), minlength=h.n * width).reshape(h.n, width)
     return out
 
 

@@ -186,19 +186,35 @@ def _ball_table(emb, kept, centers, radius: float) -> np.ndarray:
     Centers go in blocks of at most ``BALL_BLOCK`` distances, and each block
     adds the squared coordinate gaps one coordinate at a time over the kept
     embedding transposed to (k, kept); the sums equal numpy's row sums of
-    the squared gaps exactly.
+    the squared gaps exactly.  Below eight coordinates numpy adds the terms
+    one after another, so there the block accumulates them in place, in two
+    buffers allocated once.
     """
     emb_t = np.ascontiguousarray(emb[kept].T)
     table = np.empty((len(centers), len(kept)), dtype=bool)
     step = max(1, BALL_BLOCK // len(kept))
+    k = emb.shape[1]
+    if k < 8:
+        rows = min(step, len(centers))
+        sums, squares = np.empty((rows, len(kept))), np.empty((rows, len(kept)))
     for start in range(0, len(centers), step):
         block = emb[centers[start:start + step]]
+        if k < 8:
+            acc, sq = sums[:len(block)], squares[:len(block)]
+            np.subtract(block[:, 0, None], emb_t[0], out=acc)
+            np.multiply(acc, acc, out=acc)
+            for col in range(1, k):
+                np.subtract(block[:, col, None], emb_t[col], out=sq)
+                np.multiply(sq, sq, out=sq)
+                np.add(acc, sq, out=acc)
+            np.less_equal(acc, radius, out=table[start:start + step])
+            continue
 
         def term(col):
             gap = block[:, col, None] - emb_t[col]
             return gap * gap
 
-        table[start:start + step] = _pairwise_sum(term, 0, emb.shape[1]) <= radius
+        table[start:start + step] = _pairwise_sum(term, 0, k) <= radius
     return table
 
 

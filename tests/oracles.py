@@ -7,8 +7,8 @@ from itertools import permutations
 
 import numpy as np
 
-from hypersbm.compositions import (capacity, capacity_vector, member_lift_table,
-                                   weak_compositions)
+from hypersbm.compositions import (capacity, capacity_vector, composition_rank,
+                                   member_lift_table, weak_compositions)
 from hypersbm.model import Hypergraph, adjacency_matrix
 from hypersbm.pipeline import CommunityCountEstimate, confusion_matrix
 from hypersbm.spectral import rank_k_approx
@@ -85,6 +85,17 @@ def type_counts_bruteforce(h, labels, v: int, k: int) -> dict:
             vec[index[tuple(np.bincount(labels[others], minlength=k))]] += 1
         counts[m] = vec
     return counts
+
+
+def edge_types_by_counts(edge_labels, k: int) -> np.ndarray:
+    """Type index of each edge from its members' labels (E, m): the edge's
+    per-community counts, ranked by ``composition_rank`` (the reference for
+    refinement._edge_types)."""
+    edge_labels = np.asarray(edge_labels, dtype=np.int64)
+    num, m = edge_labels.shape
+    slots = np.arange(num, dtype=np.int64)[:, None] * k + edge_labels
+    counts = np.bincount(slots.ravel(), minlength=num * k).reshape(num, k)
+    return composition_rank(counts, m)
 
 
 def canonical_edge_array_lexsort(rows, m: int) -> np.ndarray:

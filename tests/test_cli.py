@@ -129,6 +129,19 @@ def test_usage_errors_are_one_line_and_exit_two(config_path, tmp_path, capsys):
         assert capsys.readouterr().err == f"hypersbm: error: need workers >= 1, got {workers}\n"
 
 
+@pytest.mark.parametrize("extra, message", [
+    ("layer order=2 within=9 cross=1\n", "layer order=2 is declared twice"),
+    ("sweep order=3 field=within values=1,2,3\n", "sweep order=3 names no declared layer"),
+])
+def test_layer_config_errors_are_one_line_and_exit_two(tmp_path, capsys, extra, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(CONFIG + extra)
+    out = str(tmp_path / "out")
+    for argv in (["threshold"], ["sample", "--out", out], ["phase", "--out", out]):
+        assert main(argv + ["--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"hypersbm: error: {message}\n"
+
+
 def test_phase_exits_one_when_trials_fail(tmp_path, capsys):
     # rates this low leave a mean degree below 1, so every trial fails
     path = tmp_path / "flat.cfg"

@@ -90,6 +90,23 @@ def test_parse_config_names_missing_keys():
         hs.parse_config("n = 50\nlayer order=2 within=3 cross=1\nsweep order=2\n")
 
 
+def test_parse_config_rejects_a_repeated_layer():
+    # the second line used to replace the first without a word
+    with pytest.raises(ValueError, match=r"^layer order=2 is declared twice$"):
+        hs.parse_config("n = 50\nlayer order=2 within=4 cross=1\n"
+                        "layer order=2 within=9 cross=1\n")
+    with pytest.raises(ValueError, match=r"^layer order=3 is declared twice$"):
+        hs.parse_config("n = 50\nlayer order=3 values=20,4,4,4\nlayer order=2 within=4 cross=1\n"
+                        "layer order=3 within=9 cross=1\n")
+
+
+def test_parse_config_rejects_a_sweep_of_an_undeclared_order():
+    # the grid's points would all share one model while the CSV named the values
+    with pytest.raises(ValueError, match=r"^sweep order=3 names no declared layer$"):
+        hs.parse_config("n = 50\nlayer order=2 within=4 cross=1\n"
+                        "sweep order=3 field=within values=1,2,3\n")
+
+
 def test_grid_points_cross_n_and_sweep():
     cfg = hs.parse_config(SWEEP_CONFIG.replace("n = 60", "n = 30,60"))
     points = grid_points(cfg)
@@ -176,6 +193,59 @@ def test_phase_sweep_parallel_matches_sequential():
     seq, _ = hs.phase_sweep(cfg, workers=1)
     par, _ = hs.phase_sweep(cfg, workers=2)
     assert [strip_wall(r) for r in seq] == [strip_wall(r) for r in par]
+
+
+def counting_threshold(path):
+    """chernoff_hellinger that appends a line to ``path`` per call, so calls
+    made in pool workers are counted too."""
+    real = harness.chernoff_hellinger
+
+    def count(*args, **kwargs):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args, **kwargs)
+
+    return count
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_phase_sweep_computes_each_threshold_once(tmp_path, monkeypatch, workers):
+    calls = tmp_path / "calls"
+    monkeypatch.setattr(harness, "chernoff_hellinger", counting_threshold(calls))
+    cfg = hs.parse_config(SWEEP_CONFIG.replace("n = 60", "n = 60,100"))
+    records, _ = hs.phase_sweep(cfg, workers=workers)
+    assert len(records) == 8 and all(r.d_gch is not None for r in records)
+    assert calls.read_text().splitlines() == [str(os.getpid())] * 4
+
+
+def test_run_trial_computes_its_points_threshold_once(tmp_path, monkeypatch):
+    calls = tmp_path / "calls"
+    monkeypatch.setattr(harness, "chernoff_hellinger", counting_threshold(calls))
+    cfg = hs.parse_config(BASE_CONFIG)
+    point = grid_points(cfg)[0]
+    first, second = hs.run_trial(cfg, point, seed=7), hs.run_trial(cfg, point, seed=8)
+    assert len(calls.read_text().splitlines()) == 1
+    assert first.d_gch == second.d_gch and first.verdict == second.verdict == "achievable"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_threshold_gives_every_trial_the_run_trial_error(monkeypatch, workers):
+    real = harness.chernoff_hellinger
+
+    def fails_at_four(alpha, coefficients, n):
+        if coefficients[2][0] == 4.0:
+            raise ValueError("no threshold at within=4")
+        return real(alpha, coefficients, n)
+
+    monkeypatch.setattr(harness, "chernoff_hellinger", fails_at_four)
+    cfg = hs.parse_config(SWEEP_CONFIG)
+    records, _ = hs.phase_sweep(cfg, workers=workers)
+    alone = [hs.run_trial(cfg, point, seed) for point in grid_points(cfg)
+             for seed in (5, 6)]
+    assert [strip_wall(r) for r in records] == [strip_wall(r) for r in alone]
+    assert [r.error for r in records[:2]] == ["ValueError: no threshold at within=4"] * 2
+    assert all(r.d_gch is None and r.verdict is None for r in records[:2])
+    assert all(r.error is None and r.verdict == "achievable" for r in records[2:])
 
 
 # ---------------------------------------------------------------------------

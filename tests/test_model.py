@@ -305,6 +305,23 @@ def test_canonical_edge_array_matches_lexsort_oracle(case):
 
 
 @st.composite
+def id_rows(draw):
+    """Up to 30 rows of m = 1..6 ids, repeats and negative ids included."""
+    m = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-2, 40), min_size=m, max_size=m), max_size=30))
+    return np.array(rows, dtype=np.int64).reshape(-1, m), m
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(id_rows())
+def test_canonical_edge_array_sorts_every_order_like_lexsort(case):
+    # orders 2-4 sort their rows by compare-exchange, the others by np.sort
+    rows, m = case
+    got = model._canonical_edge_array(rows, m)
+    assert got.dtype == np.int64 and np.array_equal(got, canonical_edge_array_lexsort(rows, m))
+
+
+@st.composite
 def shuffled_edge_lists(draw):
     """Edge lists on up to 12 vertices, and the same lists with the rows and
     the vertices within each row put in an arbitrary order."""
@@ -548,6 +565,32 @@ def test_adjacency_build_finds_malloc_trim_under_glibc():
     # without it the build's peak resident memory depends on the heap's history
     assert model._MALLOC_TRIM is not None
     model._release_free_heap()
+
+
+def _pair_count(h):
+    return sum(len(e) * math.comb(m, 2) for m, e in h.edges.items())
+
+
+def test_adjacency_build_trims_the_heap_only_when_large(monkeypatch):
+    # a trim costs a heap walk and page faults; below 2^17 pairs it returns
+    # nothing that sets the peak, above it the peak depends on it
+    calls = []
+    monkeypatch.setattr(model, "_MALLOC_TRIM", calls.append)
+    # the largest sweep instance of the benchmark: n=2000 at within=8
+    small = _two_level_sample(2000, 2, {2: 8.0, 3: 5.0}, {2: 1.0, 3: 1.0}, [7, 11], [7, 12])
+    assert _pair_count(small) < 2**17
+    hs.adjacency_matrix(small)
+    assert calls == []
+    # an n=20000, k=4 instance and the first part of its edge split, the
+    # smallest matrix the known-parameter route builds on it
+    large = _two_level_sample(20000, 4, {2: 12.0, 3: 14.0, 4: 10.0},
+                              {2: 1.0, 3: 1.5, 4: 1.0}, [7, 11], [7, 12])
+    first = hs.split(large, math.log(math.log(20000)), seed=0).first
+    assert _pair_count(first) >= 2**17
+    for h in (large, first):
+        calls.clear()
+        hs.adjacency_matrix(h)
+        assert calls == [0, 0]
 
 
 def test_live_adjacency_equals_the_slice():

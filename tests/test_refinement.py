@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 import hypersbm as hs
 from hypersbm.compositions import composition_rank
 from hypersbm.model import make_hypergraph
-from hypersbm.refinement import edge_composition_counts, edge_type_count_matrix
-from oracles import composition_index, tensor_value, type_counts_bruteforce
+from hypersbm.refinement import _edge_types, edge_composition_counts, edge_type_count_matrix
+from oracles import (composition_index, edge_types_by_counts, tensor_value,
+                     type_counts_bruteforce)
 
 
 def two_clique_instance():
@@ -191,6 +192,26 @@ def test_estimate_tensors_commute_with_community_relabelling(instance, rnd):
         assert after.capacities[m][j].tobytes() == before.capacities[m].tobytes()
         assert np.array_equal(after.defined[m][j], before.defined[m])
         assert np.array_equal(after.values[m][j], before.values[m], equal_nan=True)
+
+
+@st.composite
+def labelled_edges(draw):
+    """Member labels (E, m) of up to 40 edges, E = 0 included, for orders
+    2..6 and 1..12 communities."""
+    m = draw(st.integers(2, 6))
+    k = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.lists(st.integers(0, k - 1), min_size=m, max_size=m),
+                         max_size=40))
+    return np.array(rows, dtype=np.int64).reshape(-1, m), k
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(labelled_edges())
+def test_lifted_edge_types_match_count_ranking(case):
+    edge_labels, k = case
+    got = _edge_types(edge_labels, k)
+    assert got.dtype == np.int64 and got.shape == (len(edge_labels),)
+    assert np.array_equal(got, edge_types_by_counts(edge_labels, k))
 
 
 def test_type_counts_have_no_community_cap():
