@@ -79,8 +79,7 @@ def _cmd_recover(args) -> int:
         point = grid_points(config)[0]
         tensors = ProbabilityTensors.from_unscaled(config.k, point.coefficients, h.n)
         report = partition_with_prior(h, args.k, tensors, config.alpha,
-                                      seed=args.seed, truth=truth,
-                                      split_adjust=not args.no_split_adjust)
+                                      seed=args.seed, truth=truth)
     print(f"mode={args.mode} n={h.n} k={args.k} seed={args.seed}")
     print(f"kept after trimming: {report.kept}/{h.n}")
     status = {True: " (converged)", False: " (capped)", None: ""}[report.converged]
@@ -155,9 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="model config (required for --mode prior)")
-    p.add_argument("--no-split-adjust", action="store_true",
-                   help="score the MAP correction with the unadjusted model "
-                        "probabilities instead of the post-split rates")
     p.add_argument("--out", help="write the estimated membership here")
     p.add_argument("--csv", action="store_true", help="also print a CSV row")
     p.set_defaults(func=_cmd_recover)

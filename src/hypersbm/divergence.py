@@ -21,6 +21,10 @@ from .compositions import (
 from .model import ProbabilityTensors, max_expected_degree, validate_prior
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Width of the bracket at which the golden-section search on [0, 1] stops.
+SEARCH_TOL = 1e-9
+# Half-width of the band around 1 that ``classify_regime`` calls critical.
+CRITICAL_BAND = 1e-3
 
 
 def kl_bernoulli(y: float, q: float) -> float:
@@ -40,16 +44,17 @@ def kl_bernoulli(y: float, q: float) -> float:
     return total
 
 
-def maximize_concave(f, lo: float = 0.0, hi: float = 1.0, tol: float = 1e-9):
-    """Golden-section maximum of a concave function on [lo, hi].
+def maximize_concave(f):
+    """Golden-section maximum of a concave function on [0, 1], to a bracket
+    of ``SEARCH_TOL``.
 
     Returns (argmax, max).  Both endpoints are evaluated explicitly.
     """
-    a, b = lo, hi
+    a, b = 0.0, 1.0
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > SEARCH_TOL:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)
@@ -59,14 +64,8 @@ def maximize_concave(f, lo: float = 0.0, hi: float = 1.0, tol: float = 1e-9):
             d = a + GOLDEN * (b - a)
             fd = f(d)
     x = 0.5 * (a + b)
-    best = max([(lo, f(lo)), (x, f(x)), (hi, f(hi))], key=lambda p: p[1])
+    best = max([(0.0, f(0.0)), (x, f(x)), (1.0, f(1.0))], key=lambda p: p[1])
     return best
-
-
-def _coefficient_arrays(coefficients) -> dict:
-    if isinstance(coefficients, ProbabilityTensors):
-        return {m: coefficients.unscaled(m) for m in coefficients.orders}
-    return {m: np.asarray(v, dtype=float) for m, v in coefficients.items()}
 
 
 def _pair_layers(j: int, k: int, alpha, coefficients: dict, n: int, weights: str):
@@ -101,7 +100,8 @@ def pair_objective(j: int, k: int, alpha, coefficients, n: int, weights: str = "
     in t.  Zero coefficients follow the limit convention 0^t = 0 for t > 0
     and 0^0 = 1, which keeps the objective continuous on (0, 1].
     """
-    layers = _pair_layers(j, k, alpha, _coefficient_arrays(coefficients), n, weights)
+    coefficients = {m: np.asarray(v, dtype=float) for m, v in coefficients.items()}
+    layers = _pair_layers(j, k, alpha, coefficients, n, weights)
 
     def objective(t: float) -> float:
         total = 0.0
@@ -137,21 +137,19 @@ class DivergenceReport:
 
 
 def chernoff_hellinger_pair(j: int, k: int, alpha, coefficients, n: int,
-                            weights: str = "finite", tol: float = 1e-9) -> PairDivergence:
+                            weights: str = "finite") -> PairDivergence:
     """Best tilting separation between communities j and k.
 
-    ``coefficients`` holds the unscaled per-type rates (tensors built via
-    ``from_unscaled`` are accepted directly).
+    ``coefficients`` maps each order to its unscaled per-type rates.
     """
     if j == k:
         raise ValueError("communities must be distinct")
     f = pair_objective(j, k, alpha, coefficients, n, weights)
-    t_star, value = maximize_concave(f, tol=tol)
+    t_star, value = maximize_concave(f)
     return PairDivergence(j=j, k=k, value=value, t_star=t_star)
 
 
-def chernoff_hellinger(alpha, coefficients, n: int, weights: str = "finite",
-                       tol: float = 1e-9) -> DivergenceReport:
+def chernoff_hellinger(alpha, coefficients, n: int, weights: str = "finite") -> DivergenceReport:
     """Divergence for every community pair and the overall minimum."""
     alpha = validate_prior(alpha)
     num_communities = len(alpha)
@@ -161,7 +159,7 @@ def chernoff_hellinger(alpha, coefficients, n: int, weights: str = "finite",
     for j in range(num_communities):
         for k in range(j + 1, num_communities):
             pairs.append(chernoff_hellinger_pair(j, k, alpha, coefficients, n,
-                                                 weights=weights, tol=tol))
+                                                 weights=weights))
     best = min(pairs, key=lambda p: p.value)
     return DivergenceReport(pairs=tuple(pairs), value=best.value,
                             argmin=(best.j, best.k))
@@ -222,13 +220,12 @@ class RegimeVerdict:
     label: str  # "impossible" | "critical" | "achievable"
 
 
-def classify_regime(value: float, tol: float = 1e-3) -> RegimeVerdict:
-    """Place a divergence value relative to the unit threshold."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    if value > 1.0 + tol:
+def classify_regime(value: float) -> RegimeVerdict:
+    """Place a divergence value relative to the unit threshold; values within
+    ``CRITICAL_BAND`` of 1 are critical."""
+    if value > 1.0 + CRITICAL_BAND:
         label = "achievable"
-    elif value < 1.0 - tol:
+    elif value < 1.0 - CRITICAL_BAND:
         label = "impossible"
     else:
         label = "critical"

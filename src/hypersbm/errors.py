@@ -9,10 +9,6 @@ harness records them per trial instead of aborting a sweep).
 class ConvergenceError(RuntimeError):
     """Iterative eigensolver failed to converge within its iteration budget."""
 
-    def __init__(self, message, residuals=None):
-        super().__init__(message)
-        self.residuals = residuals
-
 
 class DegenerateDegreeError(ValueError):
     """Degrees too small for a degree-based formula (e.g. mean degree <= 1)."""

@@ -12,7 +12,7 @@ file formats use 1-based ids.
 
 import ctypes
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -46,15 +46,11 @@ class ProbabilityTensors:
     """Per-order edge probabilities collapsed by membership type.
 
     ``q[m]`` is an array over weak_compositions(m, k) in canonical order
-    holding the inclusion probability for each type.  When built from
-    unscaled coefficients, ``p[m]`` holds the coefficients and ``scale_n``
-    the vertex count used for the log(n)/C(n-1, m-1) scaling.
+    holding the inclusion probability for each type.
     """
 
     k: int
     q: dict
-    p: dict = field(default=None)
-    scale_n: int = field(default=None)
 
     def __post_init__(self):
         converted = {}
@@ -76,14 +72,12 @@ class ProbabilityTensors:
         if n < 2:
             raise ValueError("need n >= 2 to scale coefficients")
         q = {}
-        p = {}
         for m, vals in coefficients.items():
             vals = np.asarray(vals, dtype=float)
             if np.any(vals < 0):
                 raise ValueError(f"order {m}: coefficients must be nonnegative")
             q[m] = vals * (math.log(n) / math.comb(n - 1, m - 1))
-            p[m] = vals.copy()
-        return cls(k=k, q=q, p=p, scale_n=n)
+        return cls(k=k, q=q)
 
     @property
     def orders(self) -> list:
@@ -93,17 +87,10 @@ class ProbabilityTensors:
     def max_order(self) -> int:
         return max(self.q)
 
-    def unscaled(self, m: int) -> np.ndarray:
-        """Coefficient array for order m (q recovered via the log(n) scaling)."""
-        if self.p is None:
-            raise ValueError("tensors were not built from unscaled coefficients")
-        return self.p[m]
-
     def scaled_by(self, factor: float) -> "ProbabilityTensors":
         """New tensors with every probability multiplied by ``factor``."""
         q = {m: vals * factor for m, vals in self.q.items()}
-        p = None if self.p is None else {m: vals * factor for m, vals in self.p.items()}
-        return ProbabilityTensors(k=self.k, q=q, p=p, scale_n=self.scale_n)
+        return ProbabilityTensors(k=self.k, q=q)
 
     def restricted(self, orders) -> "ProbabilityTensors":
         """New tensors keeping only the given orders."""
@@ -112,8 +99,7 @@ class ProbabilityTensors:
         if missing:
             raise ValueError(f"orders {sorted(missing)} not present")
         q = {m: self.q[m].copy() for m in orders}
-        p = None if self.p is None else {m: self.p[m].copy() for m in orders}
-        return ProbabilityTensors(k=self.k, q=q, p=p, scale_n=self.scale_n)
+        return ProbabilityTensors(k=self.k, q=q)
 
 
 def two_level_coefficients(k: int, within: dict, cross: dict) -> dict:

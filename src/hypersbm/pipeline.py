@@ -181,22 +181,25 @@ def agnostic_partition(h: Hypergraph, k: int, seed: int = 0, truth=None) -> Reco
 
 
 def partition_with_prior(h: Hypergraph, k: int, tensors: ProbabilityTensors,
-                         alpha, seed: int = 0, truth=None,
-                         split_adjust: bool = True) -> RecoveryReport:
+                         alpha, seed: int = 0, truth=None) -> RecoveryReport:
     """Recover communities with known probabilities and prior.
 
     Splits edges with retention loglog(n)/log(n), trims the first part by
     the known degree cap, initializes there, and MAP-corrects every vertex
-    on the second part.  ``split_adjust`` rescales the probabilities fed to
-    the correction by the fraction of edges it actually sees (the
-    distributionally correct likelihood); disable to score with the raw
-    model probabilities instead.
+    on the second part.  The correction scores with the probabilities
+    rescaled by the fraction of edges the second part keeps, the likelihood
+    of the edges it actually sees.  ``k`` must equal ``tensors.k`` and the
+    length of ``alpha``.
     """
     if k < 1:
         raise ValueError("need k >= 1")
+    alpha = validate_prior(alpha)
+    if tensors.k != k:
+        raise ValueError(f"k={k} does not match the model's k={tensors.k}")
+    if len(alpha) != k:
+        raise ValueError(f"k={k} does not match the prior's {len(alpha)} entries")
     if h.n < 16:
         raise ValueError(f"known-parameter pipeline needs n >= 16, got {h.n}")
-    alpha = validate_prior(alpha)
     theta = math.log(math.log(h.n))
     parts = split(h, theta, seed=[seed, 3])
 
@@ -209,7 +212,7 @@ def partition_with_prior(h: Hypergraph, k: int, tensors: ProbabilityTensors,
     stage1 = spectral_init(trim(adjacency_matrix(parts.first), keep), keep, k, radius,
                            seed=[seed, 1])
 
-    tensors1 = tensors.scaled_by(1.0 - parts.probability) if split_adjust else tensors
+    tensors1 = tensors.scaled_by(1.0 - parts.probability)
     labels = map_correct(parts.second, stage1, tensors1, alpha)
     return _finish_report(truth, k, labels, stage1, int(keep.sum()), 0)
 

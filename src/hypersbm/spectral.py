@@ -68,8 +68,7 @@ def rank_k_approx(a, k: int, tol: float = 1e-8) -> LowRankApprox:
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(
             f"eigensolver did not converge within {MAXITER} iterations "
-            f"({len(exc.eigenvalues)}/{k} eigenpairs found)",
-            residuals=exc.eigenvalues,
+            f"({len(exc.eigenvalues)}/{k} eigenpairs found)"
         ) from exc
     order = np.argsort(vals)[::-1]
     return LowRankApprox(values=vals[order], vectors=vecs[:, order])

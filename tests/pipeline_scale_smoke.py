@@ -1,10 +1,10 @@
-"""Pipeline scale smoke test: run ``agnostic_partition`` and
-``estimate_num_communities`` on the n = 1e5 graph of
-``sampler_scale_smoke.py``, each in a fresh process, and check their
-results and peak memory.
+"""Pipeline scale smoke test: run ``agnostic_partition``,
+``partition_with_prior`` and ``estimate_num_communities`` on the n = 1e5
+graph of ``sampler_scale_smoke.py``, each in a fresh process, and check
+their results and peak memory.
 
-The agnostic run must recover the communities exactly (eta 0) and the
-estimate must count k = 2.  Each process samples the graph, runs one
+Both recovery pipelines must recover the communities exactly (eta 0) and
+the estimate must count k = 2.  Each process samples the graph, runs one
 pipeline and prints its peak resident set size (``ru_maxrss``, which
 includes the sample); a peak above 1024 MB fails.  There is no timing gate;
 a time limit around the run catches hangs.  Run from the root of the
@@ -22,15 +22,18 @@ import hypersbm as hs
 from sampler_scale_smoke import K, sample
 
 LIMIT_MB = 1024
-PIPELINES = ("agnostic_partition", "estimate_num_communities")
+PIPELINES = ("agnostic_partition", "partition_with_prior", "estimate_num_communities")
 
 
 def run(name: str, seed: int) -> int:
-    h, truth, _ = sample(seed)
+    h, truth, tensors = sample(seed)
     start = time.perf_counter()
     if name == "agnostic_partition":
         eta = hs.agnostic_partition(h, K, seed=seed, truth=truth).eta
         ok, result = eta == 0.0, f"eta {eta}"
+    elif name == "partition_with_prior":
+        report = hs.partition_with_prior(h, K, tensors, [0.5, 0.5], seed=seed, truth=truth)
+        ok, result = report.eta == 0.0, f"eta {report.eta} (stage one {report.eta_stage1:.2g})"
     else:
         k_hat = hs.estimate_num_communities(h).k_hat
         ok, result = k_hat == K, f"k_hat {k_hat}"

@@ -77,8 +77,18 @@ def test_recover_prior_needs_config(config_path, tmp_path, capsys):
                                        "for the probabilities and prior\n")
     assert main(["recover", "--mode", "prior", "--input", h_path,
                  "--k", "2", "--config", config_path]) == 0
+
+
+@pytest.mark.parametrize("k", ["1", "3"])
+def test_recover_prior_k_must_match_config(config_path, tmp_path, capsys, k):
+    h_path = str(tmp_path / "h.txt")
+    main(["sample", "--config", config_path, "--out", h_path])
+    capsys.readouterr()
     assert main(["recover", "--mode", "prior", "--input", h_path,
-                 "--k", "2", "--config", config_path, "--no-split-adjust"]) == 0
+                 "--k", k, "--config", config_path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"hypersbm: error: k={k} does not match the model's k=2\n"
 
 
 def test_phase_writes_csv(config_path, tmp_path, capsys):

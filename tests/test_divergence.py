@@ -164,6 +164,33 @@ def test_golden_section_on_known_function():
     assert t == 1.0 and v == 1.0
 
 
+# float.hex of (value, t_star) per pair, recorded before the search bounds and
+# tolerance became module constants; any change to the search shows here.
+THRESHOLD_BITS = {
+    (2, "finite"): [("0x1.819e433daea44p+1", "0x1.ffffffe56a25bp-2")],
+    (2, "asymptotic"): [("0x1.813b8b5d9ed9cp+1", "0x1.ffffffec2f378p-2")],
+    (3, "finite"): [("0x1.23cbf0377f397p+0", "0x1.f02ff88c4a07cp-2"),
+                    ("0x1.ac8cb48c19a67p+0", "0x1.defcbca4ae40ep-2"),
+                    ("0x1.e9ff006e506d4p+0", "0x1.ec5b1100f5a7ap-2")],
+    (3, "asymptotic"): [("0x1.23abe68f51893p+0", "0x1.f030467ebfef2p-2"),
+                        ("0x1.ac587907b9c49p+0", "0x1.defd318a6699ap-2"),
+                        ("0x1.e9c2ebe7c578ap+0", "0x1.ec5b65e7641a6p-2")],
+}
+
+
+@pytest.mark.parametrize("k, weights", sorted(THRESHOLD_BITS))
+def test_threshold_bits_are_pinned(k, weights):
+    if k == 2:
+        alpha, n = [0.5, 0.5], 1000
+        coeffs = hs.two_level_coefficients(2, {2: 9.0, 3: 14.0}, {2: 1.0, 3: 3.0})
+    else:
+        alpha, n = [0.2, 0.3, 0.5], 2000
+        coeffs = hs.two_level_coefficients(3, {2: 12.0, 3: 10.0}, {2: 2.0, 3: 4.0})
+    report = hs.chernoff_hellinger(alpha, coeffs, n, weights=weights)
+    got = [(p.value.hex(), p.t_star.hex()) for p in report.pairs]
+    assert got == THRESHOLD_BITS[k, weights]
+
+
 # ---------------------------------------------------------------------------
 # KL form
 # ---------------------------------------------------------------------------
@@ -226,9 +253,10 @@ def test_minimax_kl_monotone_in_separation():
 def test_classify_regime():
     assert hs.classify_regime(2.0).label == "achievable"
     assert hs.classify_regime(0.5).label == "impossible"
-    assert hs.classify_regime(1.0005, tol=0.01).label == "critical"
-    with pytest.raises(ValueError):
-        hs.classify_regime(1.0, tol=0.0)
+    assert hs.classify_regime(1.0005).label == "critical"
+    assert hs.classify_regime(0.9995).label == "critical"
+    assert hs.classify_regime(1.002).label == "achievable"
+    assert hs.classify_regime(0.998).label == "impossible"
 
 
 def test_separation_false_for_identical_rows():

@@ -182,7 +182,7 @@ def test_tensor_scaling_and_restriction():
     T = two_block_tensors(100, 8, 2, orders=(2, 3))
     half = T.scaled_by(0.5)
     assert np.allclose(half.q[2], T.q[2] * 0.5)
-    assert np.allclose(half.unscaled(3), T.unscaled(3) * 0.5)
+    assert np.allclose(half.q[3], T.q[3] * 0.5)
     only2 = T.restricted([2])
     assert only2.orders == [2]
     with pytest.raises(ValueError):

@@ -240,11 +240,13 @@ def test_prior_pipeline_recovers_planted():
     assert wins >= 4
 
 
-def test_prior_pipeline_split_adjust_flag_runs():
-    h, z, T = planted_instance(200, 16, 2, 8)
-    report = hs.partition_with_prior(h, 2, T, [0.5, 0.5], seed=8, truth=z,
-                                     split_adjust=False)
-    assert report.labels.shape == (200,)
+def test_prior_pipeline_rejects_disagreeing_k():
+    h, z, T = planted_instance(100, 14, 2, 0)
+    for k in (1, 3):
+        with pytest.raises(ValueError, match=f"k={k} does not match the model's k=2"):
+            hs.partition_with_prior(h, k, T, [1 / k] * k, seed=0)
+    with pytest.raises(ValueError, match="k=2 does not match the prior's 3 entries"):
+        hs.partition_with_prior(h, 2, T, [0.2, 0.3, 0.5], seed=0)
 
 
 # ---------------------------------------------------------------------------
