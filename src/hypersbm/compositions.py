@@ -9,6 +9,7 @@ descending, e.g. for m=2, k=2: (2,0), (1,1), (0,2).
 
 from functools import lru_cache
 from math import comb, factorial
+from operator import index
 
 import numpy as np
 
@@ -17,8 +18,11 @@ import numpy as np
 def weak_compositions(m: int, k: int) -> tuple:
     """All weak compositions of m into k parts, lexicographically descending.
 
-    The number of compositions returned is C(m+k-1, k-1).
+    The number of compositions returned is C(m+k-1, k-1).  The parts are
+    Python ints whatever integer type ``m`` and ``k`` have: a cached result
+    is shared by every call with equal arguments.
     """
+    m, k = index(m), index(k)
     if k < 1:
         raise ValueError(f"need at least one part, got k={k}")
     if m < 0:
@@ -77,20 +81,27 @@ def member_lift_table(m: int, k: int) -> np.ndarray:
     Entry [label, i] is the canonical index (within weak_compositions(m, k))
     of the i-th composition of m-1 with one more member of community
     ``label``: the edge type seen from a vertex of that community.
-    Precomputed so per-vertex likelihood sums reduce to array gathers.
+    Precomputed so per-vertex likelihood sums reduce to array gathers.  The
+    table is cached and shared, so it is read-only.
     """
+    m, k = index(m), index(k)
     lower = np.array(weak_compositions(m - 1, k), dtype=np.int64)
-    return composition_rank(lower[None, :, :] + np.eye(k, dtype=np.int64)[:, None, :], m)
+    table = composition_rank(lower[None, :, :] + np.eye(k, dtype=np.int64)[:, None, :], m)
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=None)
 def member_drop_table(m: int, k: int) -> np.ndarray:
     """Inverse of member_lift_table: entry [i, label] is the canonical index
     of the order-(m-1) type left when one member of community ``label``
-    leaves the i-th composition of m (-1 where that part is zero)."""
+    leaves the i-th composition of m (-1 where that part is zero).  Cached
+    and shared, so read-only."""
+    m, k = index(m), index(k)
     lift = member_lift_table(m, k)
     table = np.full((num_weak_compositions(m, k), k), -1, dtype=np.int64)
     table[lift, np.arange(k)[:, None]] = np.arange(lift.shape[1])
+    table.setflags(write=False)
     return table
 
 

@@ -11,6 +11,7 @@ file formats use 1-based ids.
 """
 
 import ctypes
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -155,33 +156,41 @@ class Hypergraph:
 
     def validate(self) -> None:
         for m, e in self.edges.items():
-            if m < 2:
-                raise ValueError(f"edge order must be >= 2, got {m}")
-            e = np.asarray(e)
-            if e.size == 0:
-                continue
-            if e.ndim != 2 or e.shape[1] != m:
-                raise ValueError(f"order {m}: edge array must have {m} columns")
-            if e.min() < 0 or e.max() >= self.n:
-                raise ValueError(f"order {m}: vertex id out of range")
-            if np.any(np.diff(e, axis=1) <= 0):
-                raise ValueError(f"order {m}: rows must be strictly increasing")
-            steps = _row_steps(e)
-            if np.any(steps == 0):
-                raise ValueError(f"order {m}: duplicate edges")
-            if np.any(steps < 0):
-                raise ValueError(f"order {m}: rows must be in lexicographic order")
+            _check_layer(self.n, m, e)
 
 
-def _row_steps(e: np.ndarray) -> np.ndarray:
-    """For each pair of consecutive rows, the sign of the first nonzero
-    column of their difference: 1 where the later row is lexicographically
-    greater, 0 where the rows are equal, -1 where it is smaller."""
-    steps = np.zeros(max(len(e) - 1, 0), dtype=np.int64)
-    for c in range(e.shape[1] - 1, -1, -1):
-        s = np.sign(e[1:, c] - e[:-1, c])
-        steps = np.where(s != 0, s, steps)
-    return steps
+def _check_layer(n: int, m: int, e, ordered: bool = False) -> None:
+    """Raise ValueError unless ``e`` is a valid order-m edge array on n
+    vertices (see ``Hypergraph``).  Only the ids' range is checked when the
+    rows are known to be ``ordered``: strictly increasing and in strictly
+    increasing lexicographic order."""
+    if m < 2:
+        raise ValueError(f"edge order must be >= 2, got {m}")
+    e = np.asarray(e)
+    if e.size == 0:
+        return
+    if e.ndim != 2 or e.shape[1] != m:
+        raise ValueError(f"order {m}: edge array must have {m} columns")
+    if e.min() < 0 or e.max() >= n:
+        raise ValueError(f"order {m}: vertex id out of range")
+    if ordered:
+        return
+    if np.any(np.diff(e, axis=1) <= 0):
+        raise ValueError(f"order {m}: rows must be strictly increasing")
+    if not _rows_ascend(e).all():
+        if np.any(np.all(e[1:] == e[:-1], axis=1)):
+            raise ValueError(f"order {m}: duplicate edges")
+        raise ValueError(f"order {m}: rows must be in lexicographic order")
+
+
+def _rows_ascend(e: np.ndarray) -> np.ndarray:
+    """For each pair of consecutive rows, whether the later one is
+    lexicographically greater."""
+    later, earlier = e[1:], e[:-1]
+    up = later[:, -1] > earlier[:, -1]
+    for c in range(e.shape[1] - 2, -1, -1):
+        up = (later[:, c] > earlier[:, c]) | ((later[:, c] == earlier[:, c]) & up)
+    return up
 
 
 # Compare-exchanges of column pairs that sort rows of up to four columns:
@@ -473,37 +482,100 @@ def max_expected_degree(tensors: ProbabilityTensors, alpha, n: int) -> float:
 # Text formats
 # ---------------------------------------------------------------------------
 
-# Rows formatted per write call; bounds the size of the formatted string.
-WRITE_ROWS = 65536
+# Rows formatted per write call; bounds the formatting's scratch memory,
+# and a block of this size stays in cache (65536 rows formatted slower).
+WRITE_ROWS = 16384
 # Characters read per block; a block is cut back to its last newline.
 READ_BLOCK_CHARS = 1 << 20
 # Longest accepted token: every number of at most 18 digits fits in int64.
 MAX_DIGITS = 18
 
-# Byte table: the value of each ASCII digit, SPACE for the ASCII whitespace
-# that str.split() separates on, OTHER for every other byte.
-_SPACE, _OTHER = 10, 11
-_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
-_BYTE_CLASS[list(b"0123456789")] = np.arange(10, dtype=np.uint8)
-_BYTE_CLASS[list(b" \t\n\r\v\f\x1c\x1d\x1e\x1f")] = _SPACE
+# The writers print numbers in base-10**5 places, one 8-byte slot of
+# ``_slot_table`` per place.  Slot 0 is empty: a place above the leading
+# one.  Slot 1 + d + _PLACE * kind holds the place value d as its
+# significant digits (even kinds: the leading place) or zero-padded to five
+# (odd kinds: a lower place), then nothing (kinds 0-1), a space (kinds 2-3)
+# or a newline (kinds 4-5).  Zero bytes pad each slot and are dropped.
+_PLACE = 10**5
+_PADDED, _SPACE_AFTER, _NEWLINE_AFTER = _PLACE, 2 * _PLACE, 4 * _PLACE
 
 
-def _write_rows(fh, template: str, rows: np.ndarray) -> None:
-    """Write ``template % row`` for each row, WRITE_ROWS rows per call."""
-    for start in range(0, len(rows), WRITE_ROWS):
-        chunk = rows[start:start + WRITE_ROWS]
-        fh.write(template * len(chunk) % tuple(chunk.ravel().tolist()))
+@functools.cache
+def _slot_table() -> np.ndarray:
+    """The slots as uint64; built on first use (4.8 MB), whatever n is."""
+    padded = (np.indices((10,) * 5).reshape(5, -1).T + ord("0")).astype(np.uint8)
+    slots = np.zeros((1 + 6 * _PLACE, 8), dtype=np.uint8)
+    kinds = slots[1:].reshape(3, 2, _PLACE, 8)  # (after, padded, d, byte)
+    ends = np.array([[ord(" ")], [ord("\n")]], dtype=np.uint8)
+    kinds[:, 1, :, :5] = padded
+    kinds[1:, 1, :, 5] = ends
+    for width in range(1, 6):
+        d = slice(10 ** (width - 1) if width > 1 else 0, 10**width)
+        kinds[:, 0, d, :width] = padded[d, 5 - width:]
+        kinds[1:, 0, d, width] = ends
+    slots = slots.view(np.uint64).ravel()
+    slots.setflags(write=False)
+    return slots
+
+
+def _format_lines(values: np.ndarray) -> bytes:
+    """The text of each row of nonnegative int64 ``values`` in decimal,
+    separated by spaces and ended by a newline: the same bytes as
+    ``" ".join("%d" % v for v in row) + "\n"`` for each row."""
+    places = 1
+    while int(values.max(initial=0)) >= _PLACE**places:
+        places += 1
+    after = np.full(values.shape[1], _SPACE_AFTER + 1, dtype=np.int64)
+    after[-1] = _NEWLINE_AFTER + 1
+    codes = np.empty(values.shape + (places,), dtype=np.int64)
+    for j in range(places):
+        code = codes[..., j]
+        if j == places - 1:
+            above = values  # the number, with place j last
+            np.add(values % _PLACE if j else values, after, out=code)
+        else:
+            above = values // _PLACE ** (places - 1 - j)
+            np.add(above % _PLACE if j else above, 1, out=code)
+            code *= above > 0  # empty above the leading place
+        if j:  # only the first place never needs padding
+            code += _PADDED * (above >= _PLACE)
+    return _slot_table().take(codes).tobytes().translate(None, b"\0")
+
+
+def _check_writable(values: np.ndarray, what: str) -> None:
+    """Raise ValueError unless each 0-based value has a 1-based int64 form."""
+    if values.size:
+        low, high = values.min(), values.max()
+        if low < 0 or high > 2**63 - 2:
+            raise ValueError(f"{what} must lie in 0..2**63-2, got {low if low < 0 else high}")
+
+
+def _write_lines(fh, ids: np.ndarray, order=None) -> None:
+    """Write each row of 0-based ``ids`` 1-based on a line of its own, after
+    ``order`` when given, WRITE_ROWS rows per call."""
+    lead = 0 if order is None else 1
+    for start in range(0, len(ids), WRITE_ROWS):
+        chunk = ids[start:start + WRITE_ROWS]
+        lines = np.empty((len(chunk), lead + chunk.shape[1]), dtype=np.int64)
+        if lead:
+            lines[:, 0] = order
+        np.add(chunk, 1, out=lines[:, lead:])
+        fh.write(_format_lines(lines))
 
 
 def write_hypergraph(h: Hypergraph, path) -> None:
     """Write the text format: header ``n=<n> orders=<m1,m2,...>`` then one
-    edge per line as ``<m> v1 ... vm`` with 1-based, increasing ids."""
-    with open(path, "w") as fh:
-        orders = ",".join(str(m) for m in h.orders)
-        fh.write(f"n={h.n} orders={orders}\n")
-        for m in h.orders:
-            rows = np.asarray(h.edges[m], dtype=np.int64).reshape(-1, m) + 1
-            _write_rows(fh, f"{m}" + " %d" * m + "\n", rows)
+    edge per line as ``<m> v1 ... vm`` with 1-based, increasing ids.
+
+    Time and memory are O(edges), whatever n is.  A negative id is a
+    ValueError, raised before the file is opened."""
+    edges = {m: np.asarray(h.edges[m], dtype=np.int64).reshape(-1, m) for m in h.orders}
+    for m, e in edges.items():
+        _check_writable(e, f"order {m}: vertex ids")
+    with open(path, "wb") as fh:
+        fh.write(f"n={h.n} orders={','.join(str(m) for m in edges)}\n".encode())
+        for m, e in edges.items():
+            _write_lines(fh, e, order=m)
 
 
 def _line_blocks(fh):
@@ -523,6 +595,17 @@ def _line_blocks(fh):
         yield tail + "\n"
 
 
+# Byte classes: the value of each ASCII digit, OTHER for a byte that is
+# neither a digit nor whitespace, SPACE for the ASCII whitespace that
+# str.split() separates on, NEWLINE for a newline.
+_OTHER, _SPACE, _NEWLINE = 10, 11, 12
+_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_CLASS[list(b"0123456789")] = np.arange(10, dtype=np.uint8)
+_BYTE_CLASS[list(b" \t\r\v\f\x1c\x1d\x1e\x1f")] = _SPACE
+_BYTE_CLASS[ord("\n")] = _NEWLINE
+_BYTE_CLASS = _BYTE_CLASS.tobytes()  # a bytes.translate table
+
+
 @dataclass(frozen=True)
 class _Tokens:
     """Whitespace-separated tokens of a block of whole lines.
@@ -533,7 +616,7 @@ class _Tokens:
     tokens are meaningless).
     """
 
-    raw: np.ndarray       # the block's UTF-8 bytes
+    raw: bytes            # the block, UTF-8 encoded
     newlines: np.ndarray  # byte offset of each line's newline
     values: np.ndarray
     first: np.ndarray
@@ -543,21 +626,21 @@ class _Tokens:
     def line(self, i: int) -> str:
         """Text of line i, stripped."""
         start = self.newlines[i - 1] + 1 if i else 0
-        return self.raw[start:self.newlines[i]].tobytes().decode("utf-8").strip()
+        return self.raw[start:self.newlines[i]].decode("utf-8").strip()
 
 
 def _tokenize(block: str) -> _Tokens:
-    raw = np.frombuffer(block.encode("utf-8"), dtype=np.uint8)
-    classes = _BYTE_CLASS.take(raw)
+    raw = block.encode("utf-8")
+    classes = np.frombuffer(raw.translate(_BYTE_CLASS), dtype=np.uint8)
     # the block ends in a newline, so every token that starts also ends
-    flips = np.flatnonzero(np.diff(classes != _SPACE, prepend=False))
+    flips = np.flatnonzero(np.diff(classes <= _OTHER, prepend=False))
     starts, ends = flips[0::2], flips[1::2]
     lengths = ends - starts
     values = classes[starts].astype(np.int64)
     for j in range(1, min(int(lengths.max(initial=0)), MAX_DIGITS)):
         live = np.flatnonzero(lengths > j)
         values[live] = values[live] * 10 + classes[starts[live] + j]
-    newlines = np.flatnonzero(raw == ord("\n"))
+    newlines = np.flatnonzero(classes == _NEWLINE)
     counts = np.diff(np.searchsorted(starts, newlines), prepend=0)
     bad = np.zeros(len(newlines), dtype=bool)
     wrong = np.concatenate((np.flatnonzero(classes == _OTHER),
@@ -569,13 +652,9 @@ def _tokenize(block: str) -> _Tokens:
 
 def _repeated_ids(rows: np.ndarray) -> np.ndarray:
     """Per row, the smallest id that appears in it more than once, or -1."""
-    out = np.full(len(rows), -1, dtype=np.int64)
-    loose = np.flatnonzero(np.any(rows[:, 1:] <= rows[:, :-1], axis=1))
-    ids = np.sort(rows[loose], axis=1)
+    ids = np.sort(rows, axis=1)
     twice = ids[:, 1:] == ids[:, :-1]
-    first = twice.argmax(axis=1)
-    out[loose] = np.where(twice.any(axis=1), ids[np.arange(len(ids)), first], -1)
-    return out
+    return np.where(twice.any(axis=1), ids[np.arange(len(ids)), twice.argmax(axis=1)], -1)
 
 
 def read_hypergraph(path) -> Hypergraph:
@@ -592,22 +671,37 @@ def read_hypergraph(path) -> Hypergraph:
         if n < 1 or min(orders, default=2) < 2:
             raise ValueError(f"{path}: line 1: need n >= 1 and orders >= 2, got {header!r}")
         parts = {m: [] for m in orders}
+        increasing = dict.fromkeys(parts, True)  # whether every row's ids increase
         line_no = 2
         for block in _line_blocks(fh):
             tok = _tokenize(block)
             lines = np.flatnonzero(tok.counts)
             m = tok.values[tok.first[lines]]
             bad = tok.bad[lines]
-            undeclared = ~np.isin(m, orders)
+            of_order = {order: m == order for order in parts}
+            undeclared = np.ones(len(lines), dtype=bool)
+            for mask in of_order.values():
+                undeclared &= ~mask
             wrong_length = tok.counts[lines] != m + 1
-            malformed = bad | undeclared | wrong_length
+            wellformed = ~(bad | undeclared | wrong_length)
             ids = {}
             repeated = np.full(len(lines), -1, dtype=np.int64)
-            for order in parts:
-                sel = np.flatnonzero(~malformed & (m == order))
-                ids[order] = tok.values[tok.first[lines[sel]][:, None] + np.arange(1, order + 1)]
-                repeated[sel] = _repeated_ids(ids[order])
-            errors = np.flatnonzero(malformed | (repeated >= 0))
+            for order, mask in of_order.items():
+                sel = np.flatnonzero(mask & wellformed)
+                if len(sel):
+                    rows = tok.values[tok.first[lines[sel]][:, None] + np.arange(1, order + 1)]
+                    # rows whose ids do not increase; columnwise, as np.any
+                    # along short rows is slow
+                    loose = rows[:, 1] <= rows[:, 0]
+                    for c in range(2, order):
+                        loose |= rows[:, c] <= rows[:, c - 1]
+                    loose = np.flatnonzero(loose)
+                    if len(loose):
+                        increasing[order] = False
+                        repeated[sel[loose]] = _repeated_ids(rows[loose])
+                    rows -= 1
+                    ids[order] = rows
+            errors = np.flatnonzero(~wellformed | (repeated >= 0))
             if len(errors):
                 i = errors[0]
                 where = f"{path}: line {line_no + lines[i]}"
@@ -620,26 +714,29 @@ def read_hypergraph(path) -> Hypergraph:
                     raise ValueError(f"{where}: expected {m[i]} vertex ids")
                 raise ValueError(f"{where}: vertex id {repeated[i]} repeated, "
                                  f"got {tok.line(lines[i])!r}")
-            for order, rows in parts.items():
-                rows.append(ids[order] - 1)
+            for order, rows in ids.items():
+                parts[order].append(rows)
             line_no += len(tok.counts)
     edges = {}
     for m, rows in parts.items():
         e = np.concatenate(rows) if rows else np.empty((0, m), dtype=np.int64)
-        canonical = np.all(np.diff(e, axis=1) > 0) and np.all(_row_steps(e) > 0)
-        edges[m] = e if canonical else _canonical_edge_array(e, m)
-    h = Hypergraph(n=n, edges=edges)
-    try:
-        h.validate()
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return h
+        # rows that come back canonical are checked for their range alone
+        ordered = increasing[m] and _rows_ascend(e).all()
+        edges[m] = e if ordered else _canonical_edge_array(e, m)
+        try:
+            _check_layer(n, m, edges[m], ordered=ordered)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return Hypergraph(n=n, edges=edges)
 
 
 def write_membership(labels, path) -> None:
-    """One 1-based community label per line."""
-    with open(path, "w") as fh:
-        _write_rows(fh, "%d\n", np.asarray(labels, dtype=np.int64) + 1)
+    """One 1-based community label per line.  A negative label is a
+    ValueError, raised before the file is opened."""
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1, 1)
+    _check_writable(labels, "labels")
+    with open(path, "wb") as fh:
+        _write_lines(fh, labels)
 
 
 def read_membership(path) -> np.ndarray:

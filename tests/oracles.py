@@ -194,6 +194,25 @@ def live_adjacency_slice(h, live):
     return adjacency_matrix(h)[ids][:, ids]
 
 
+def write_hypergraph_percent(h, path) -> None:
+    """Write the hypergraph text format with one ``%`` template per order
+    (the reference for model.write_hypergraph)."""
+    with open(path, "wb") as fh:
+        fh.write(f"n={h.n} orders={','.join(str(m) for m in h.orders)}\n".encode())
+        for m in h.orders:
+            rows = np.asarray(h.edges[m], dtype=np.int64).reshape(-1, m) + 1
+            template = f"{m}" + " %d" * m + "\n"
+            fh.write((template * len(rows) % tuple(rows.ravel().tolist())).encode())
+
+
+def write_membership_percent(labels, path) -> None:
+    """One 1-based label per line with a ``%d`` template (the reference for
+    model.write_membership)."""
+    labels = np.asarray(labels, dtype=np.int64) + 1
+    with open(path, "wb") as fh:
+        fh.write(("%d\n" * len(labels) % tuple(labels.tolist())).encode())
+
+
 def read_hypergraph_lines(path) -> Hypergraph:
     """Parse and validate the hypergraph text format one line at a time
     with int() (the reference for model.read_hypergraph)."""

@@ -1,15 +1,17 @@
 """Subcommand smoke tests through the argparse entry point."""
 
+import dataclasses
 import os
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hypersbm as hs
-from hypersbm import pipeline, spectral
+from hypersbm import cli, pipeline, spectral
 from hypersbm.cli import main
 from hypersbm.errors import ConvergenceError
 
@@ -220,6 +222,34 @@ def test_vertex_id_zero_is_out_of_range(tmp_path, capsys):
         assert main(["recover", "--mode", "agnostic", "--input", str(path), "--k", "2"]) == 2
         assert capsys.readouterr().err == (f"hypersbm: error: {path}: order 2: "
                                            "vertex id out of range\n"), body
+
+
+def test_negative_ids_and_labels_are_one_line_and_exit_two(config_path, tmp_path, capsys,
+                                                          monkeypatch):
+    # the writers reject what the readers would reject, before the file opens
+    h_path, z_path = tmp_path / "h.txt", tmp_path / "z.txt"
+    graph = hs.Hypergraph(60, {2: np.array([[0, 3]])})
+    for h, truth, message in [
+            (hs.Hypergraph(60, {2: np.array([[-1, 3]])}), np.zeros(60),
+             "order 2: vertex ids must lie in 0..2**63-2, got -1"),
+            (graph, np.full(60, -1), "labels must lie in 0..2**63-2, got -1")]:
+        monkeypatch.setattr(cli, "sample_instance", lambda *args: (None, truth, h))
+        assert main(["sample", "--config", config_path, "--out", str(h_path),
+                     "--truth-out", str(z_path)]) == 2
+        assert capsys.readouterr().err == f"hypersbm: error: {message}\n"
+        assert not z_path.exists()
+    monkeypatch.undo()
+
+    assert main(["sample", "--config", config_path, "--out", str(h_path)]) == 0
+    report = pipeline.agnostic_partition(hs.read_hypergraph(h_path), 2, seed=0)
+    monkeypatch.setattr(cli, "agnostic_partition", lambda *args, **kwargs: dataclasses.replace(
+        report, labels=report.labels - 1))
+    capsys.readouterr()
+    assert main(["recover", "--mode", "agnostic", "--input", str(h_path), "--k", "2",
+                 "--out", str(z_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hypersbm: error: ") and err.count("\n") == 1, err
+    assert not z_path.exists()
 
 
 def test_overlong_number_is_one_line_and_exit_two(config_path, tmp_path, capsys):

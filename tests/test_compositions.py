@@ -113,6 +113,27 @@ def test_member_lift_table_consistency():
                 assert upper[table[label, i]] == add_member(w, label)
 
 
+def test_cached_compositions_have_int_parts_whatever_the_first_caller_passed():
+    # np.int64(4) hashes and compares like 4, so a cache keyed on the
+    # arguments hands the first call's result to every later one
+    weak_compositions.cache_clear()
+    first = weak_compositions(np.int64(4), np.int64(2))
+    assert {type(part) for w in first for part in w} == {int}
+    assert weak_compositions(4, 2) is first
+    assert weak_compositions(np.int64(4), 1) == ((4,),)
+    assert type(weak_compositions(4, 1)[0][0]) is int
+
+
+@pytest.mark.parametrize("table", [member_lift_table, member_drop_table])
+def test_cached_type_tables_are_read_only(table):
+    t = table(np.int64(3), np.int64(2))
+    assert t is table(3, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        t[0, 0] = 7
+    with pytest.raises(ValueError, match="read-only"):
+        t += 1
+
+
 def test_capacity():
     assert capacity((1, 1), (3, 2)) == 6
     assert capacity((2, 0), (1, 5)) == 0

@@ -25,6 +25,8 @@ from oracles import (
     sample_distinct_dict,
     tensor_value,
     type_counts_bruteforce,
+    write_hypergraph_percent,
+    write_membership_percent,
 )
 
 
@@ -741,6 +743,127 @@ def test_membership_file_roundtrip(tmp_path):
     hs.write_membership(z, path)
     assert path.read_text().splitlines()[0] == "1"
     assert np.array_equal(hs.read_membership(path), z)
+
+
+@pytest.mark.parametrize("body", ["2 1 2\n2 2 1\n", "2 1 3\n2 1 2\n2 3 1\n",
+                                  "2 1 2\n2 1 2\n"])
+def test_rows_equal_once_sorted_are_duplicate_edges(tmp_path, body):
+    path = tmp_path / "h.txt"
+    path.write_text("n=3 orders=2\n" + body)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: order 2: duplicate edges$"):
+        hs.read_hypergraph(path)
+
+
+def test_file_errors_follow_the_header_order_of_the_layers(tmp_path):
+    # order 3 is declared first, so its id 0 is named before order 2's duplicate
+    path = tmp_path / "h.txt"
+    path.write_text("n=3 orders=3,2\n2 1 2\n2 1 2\n3 0 1 2\n")
+    with pytest.raises(ValueError, match=r": order 3: vertex id out of range$"):
+        hs.read_hypergraph(path)
+
+
+# 0-based ids whose 1-based form is the last of one digit length or the
+# first of the next (9/10, 99/100, ..., 999999999/1000000000), and the
+# largest id of a graph on n = 2**31 - 1 vertices
+BOUNDARY_IDS = sorted({10**k - 2 for k in range(1, 10)} | {10**k - 1 for k in range(1, 10)}
+                      | {2**31 - 2})
+WRITE_ROW_COUNTS = st.sampled_from([1, 2, 5, model.WRITE_ROWS])
+
+
+@st.composite
+def writable_hypergraphs(draw):
+    """A valid hypergraph with orders 2-6, some of them empty, whose ids
+    mix small ones and BOUNDARY_IDS, on n = max id + 1 or 2**31 - 1."""
+    ids = st.one_of(st.integers(0, 30), st.sampled_from(BOUNDARY_IDS))
+    orders = draw(st.lists(st.integers(2, 6), min_size=1, max_size=4, unique=True))
+    edges = {m: draw(st.lists(st.frozensets(ids, min_size=m, max_size=m), unique=True,
+                              max_size=6)) for m in orders}
+    top = max((v for rows in edges.values() for row in rows for v in row), default=0)
+    n = draw(st.sampled_from([top + 1, 2**31 - 1]))
+    return make_hypergraph(n, {m: np.array([sorted(row) for row in rows], dtype=np.int64)
+                               .reshape(-1, m) for m, rows in edges.items()})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(writable_hypergraphs(), WRITE_ROW_COUNTS)
+def test_write_hypergraph_matches_percent_oracle(scratch, h, rows):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "WRITE_ROWS", rows)
+        hs.write_hypergraph(h, scratch / "got.txt")
+    write_hypergraph_percent(h, scratch / "want.txt")
+    assert (scratch / "got.txt").read_bytes() == (scratch / "want.txt").read_bytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.integers(0, 30), st.sampled_from(BOUNDARY_IDS)), max_size=40),
+       WRITE_ROW_COUNTS)
+def test_write_membership_matches_percent_oracle(scratch, labels, rows):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "WRITE_ROWS", rows)
+        hs.write_membership(labels, scratch / "got.txt")
+    write_membership_percent(labels, scratch / "want.txt")
+    assert (scratch / "got.txt").read_bytes() == (scratch / "want.txt").read_bytes()
+
+
+def test_writers_match_percent_oracle_at_every_digit_length(tmp_path):
+    # 1-based values 10**k - 1 and 10**k for k = 1..18, and 2**63 - 1
+    ids = np.array(sorted({10**k - 2 for k in range(1, 19)} | {10**k - 1 for k in range(1, 19)}
+                          | {0, 2**63 - 2}), dtype=np.int64)
+    h = make_hypergraph(2**63 - 1, {2: np.stack([ids[:-1], ids[1:]], axis=1),
+                                    3: np.stack([ids[:-2], ids[1:-1], ids[2:]], axis=1)})
+    for write, oracle, value in ((hs.write_hypergraph, write_hypergraph_percent, h),
+                                 (hs.write_membership, write_membership_percent, ids)):
+        write(value, tmp_path / "got.txt")
+        oracle(value, tmp_path / "want.txt")
+        assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+
+
+def test_written_files_match_golden_digest(tmp_path):
+    # one n=2000 instance, pinned byte for byte
+    coeffs = hs.two_level_coefficients(2, {2: 12.0, 3: 14.0, 4: 10.0}, {2: 2.0, 3: 3.0, 4: 2.0})
+    labels = hs.sample_membership(2000, [0.5, 0.5], seed=7)
+    h = hs.sample_hypergraph(2000, labels, hs.ProbabilityTensors.from_unscaled(2, coeffs, 2000),
+                             seed=8)
+    hs.write_hypergraph(h, tmp_path / "h.txt")
+    hs.write_membership(labels, tmp_path / "z.txt")
+    digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("h.txt", "z.txt")]
+    assert digests == ["6a5b92922633391d77c364537e51a3287ff00b31f4ac735a564bad1295d687a7",
+                       "b393dcc7dc0fc784fc519038550ac44a3c9af1d99bf7e7c7bf6971f91c4555e9"]
+
+
+def test_writing_needs_no_memory_sized_by_n(tmp_path):
+    # three edges on n = 2**31 - 1 vertices: the only large allocation is
+    # the fixed 4.8 MB digit table, built on first use
+    h = Hypergraph(2**31 - 1, {2: np.array([[0, 1], [5, 2**31 - 2], [2**31 - 3, 2**31 - 2]])})
+    tracemalloc.start()
+    try:
+        hs.write_hypergraph(h, tmp_path / "h.txt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+    assert (tmp_path / "h.txt").read_text() == ("n=2147483647 orders=2\n2 1 2\n"
+                                                "2 6 2147483647\n2 2147483646 2147483647\n")
+
+
+@pytest.mark.parametrize("edges, message", [
+    ({2: [[-1, 0]]}, "order 2: vertex ids must lie in 0..2**63-2, got -1"),
+    ({2: [[0, 1]], 3: [[0, 1, -5]]}, "order 3: vertex ids must lie in 0..2**63-2, got -5"),
+    ({2: [[0, 2**63 - 1]]}, f"order 2: vertex ids must lie in 0..2**63-2, got {2**63 - 1}"),
+])
+def test_an_unwritable_id_is_an_error_before_the_file_opens(tmp_path, edges, message):
+    path = tmp_path / "h.txt"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        hs.write_hypergraph(Hypergraph(3, {m: np.array(e) for m, e in edges.items()}), path)
+    assert not path.exists()
+
+
+def test_a_negative_label_is_an_error_before_the_file_opens(tmp_path):
+    path = tmp_path / "z.txt"
+    with pytest.raises(ValueError, match=r"^labels must lie in 0\.\.2\*\*63-2, got -2$"):
+        hs.write_membership([0, -2, 1], path)
+    assert not path.exists()
 
 
 def test_hypergraph_validation_rejects_bad_edges():
