@@ -120,12 +120,9 @@ def capacity(w: tuple, sizes) -> int:
 
 
 def capacity_vector(m: int, k: int, sizes) -> np.ndarray:
-    """capacity for every composition of m into k parts, as floats: exact
-    products of Python-int binomials, each rounded once as in ``capacity``."""
-    table = np.array([[comb(int(s), c) for c in range(m + 1)] for s in sizes[:k]],
-                     dtype=object)
-    parts = np.array(weak_compositions(m, k))
-    return np.prod(table[np.arange(k), parts], axis=1).astype(float)
+    """capacity for every composition of m into k parts, as floats: each
+    exact product rounded once."""
+    return np.array([float(capacity(w, sizes)) for w in weak_compositions(m, k)])
 
 
 def expected_capacity_vector(m: int, k: int, alpha, n: int) -> np.ndarray:

@@ -250,22 +250,20 @@ def center_separation_table(tensors: ProbabilityTensors, alpha, n: int,
     rho = max_expected_degree(tensors, alpha, n)
     if rho == 0:
         raise ValueError("model has zero expected degree")
+    # Per order, the capacities of the types of m-2 members, and the order-m
+    # probabilities at [c, l, type]: the type with one member of c and one of l added.
+    layers = [(expected_capacity_vector(m - 2, num_communities, alpha, n),
+               tensors.q[m][member_lift_table(m, num_communities)
+                            [:, member_lift_table(m - 1, num_communities)]])
+              for m in tensors.orders if m >= 2]
     table = np.ones((num_communities, num_communities), dtype=bool)
-    # Lift per (community, type of m-2 members) to rows of the order-m tensor.
     for j in range(num_communities):
         for k in range(j + 1, num_communities):
             best = 0.0
             for l in range(num_communities):
                 acc = 0.0
-                for m in tensors.orders:
-                    if m < 2:
-                        continue
-                    caps = expected_capacity_vector(m - 2, num_communities, alpha, n)
-                    lift_m = member_lift_table(m, num_communities)
-                    lift_low = member_lift_table(m - 1, num_communities)
-                    idx_j = lift_m[j][lift_low[l]]
-                    idx_k = lift_m[k][lift_low[l]]
-                    acc += float(caps @ (tensors.q[m][idx_j] - tensors.q[m][idx_k]))
+                for caps, q in layers:
+                    acc += float(caps @ (q[j, l] - q[k, l]))
                 best = max(best, abs(acc) * n / rho)
             table[j, k] = table[k, j] = best >= eps
     return table

@@ -542,12 +542,14 @@ def _format_lines(values: np.ndarray) -> bytes:
     return _slot_table().take(codes).tobytes().translate(None, b"\0")
 
 
-def _check_writable(values: np.ndarray, what: str) -> None:
-    """Raise ValueError unless each 0-based value has a 1-based int64 form."""
+def _check_writable(values: np.ndarray, what: str, bound: int = 2**63 - 2) -> None:
+    """Raise ValueError unless each 0-based value lies in 0..bound and so has
+    a 1-based int64 form (bound at most 2**63-2)."""
     if values.size:
         low, high = values.min(), values.max()
-        if low < 0 or high > 2**63 - 2:
-            raise ValueError(f"{what} must lie in 0..2**63-2, got {low if low < 0 else high}")
+        if low < 0 or high > bound:
+            shown = "2**63-2" if bound == 2**63 - 2 else bound
+            raise ValueError(f"{what} must lie in 0..{shown}, got {low if low < 0 else high}")
 
 
 def _write_lines(fh, ids: np.ndarray, order=None) -> None:
@@ -567,11 +569,11 @@ def write_hypergraph(h: Hypergraph, path) -> None:
     """Write the text format: header ``n=<n> orders=<m1,m2,...>`` then one
     edge per line as ``<m> v1 ... vm`` with 1-based, increasing ids.
 
-    Time and memory are O(edges), whatever n is.  A negative id is a
+    Time and memory are O(edges), whatever n is.  An id outside 0..n-1 is a
     ValueError, raised before the file is opened."""
     edges = {m: np.asarray(h.edges[m], dtype=np.int64).reshape(-1, m) for m in h.orders}
     for m, e in edges.items():
-        _check_writable(e, f"order {m}: vertex ids")
+        _check_writable(e, f"order {m}: vertex ids", min(h.n - 1, 2**63 - 2))
     with open(path, "wb") as fh:
         fh.write(f"n={h.n} orders={','.join(str(m) for m in edges)}\n".encode())
         for m, e in edges.items():

@@ -85,15 +85,14 @@ class EstimatedTensors:
         return sorted(self.values)
 
     def clamped_logs(self, m: int):
-        """(log q, log(1-q), defined) arrays for order m."""
-        cap = self.capacities[m]
-        defined = self.defined[m]
-        vals = self.values[m].copy()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            floor = np.where(defined, 1.0 / (2.0 * np.maximum(cap, 1.0)), 0.5)
-        clamped = np.clip(vals, floor, 1.0 - floor)
-        clamped[~defined] = 0.5  # placeholder; masked out by callers
-        return np.log(clamped), np.log1p(-clamped), defined
+        """(log q, log(1-q)) arrays for order m, both 0 at undefined types
+        so that those add nothing to a likelihood score."""
+        floor = 1.0 / (2.0 * np.maximum(self.capacities[m], 1.0))
+        clamped = np.clip(self.values[m], floor, 1.0 - floor)
+        log_q, log_1mq = np.log(clamped), np.log1p(-clamped)
+        undefined = ~self.defined[m]
+        log_q[undefined] = log_1mq[undefined] = 0.0
+        return log_q, log_1mq
 
 
 def estimate_tensors(h: Hypergraph, labels, k: int) -> EstimatedTensors:
@@ -117,24 +116,22 @@ def estimate_tensors(h: Hypergraph, labels, k: int) -> EstimatedTensors:
 # Iterative likelihood refinement
 # ---------------------------------------------------------------------------
 
-def _likelihood_scores(h, labels, k, log_q, log_1mq, defined_by_order):
+def _likelihood_scores(h, labels, k, logs):
     """Score matrix (n, k): for each vertex and candidate community, the
-    Bernoulli log-likelihood of its incident-edge type counts."""
+    Bernoulli log-likelihood of its incident-edge type counts, given the
+    (log q, log(1-q)) pair of each order in ``logs``."""
     labels = np.asarray(labels, dtype=np.int64)
     sizes = np.bincount(labels, minlength=k)
     type_counts = edge_type_count_matrix(h, labels, k)
     scores = np.zeros((h.n, k))
-    missing = set(h.orders) - set(log_q)
+    missing = set(h.orders) - set(logs)
     if missing:
         raise ValueError(f"no probabilities for orders {sorted(missing)}")
     for m in h.orders:
         caps = capacity_vector(m - 1, k, sizes)
         lift = member_lift_table(m, k)
-        lq = log_q[m][lift]
-        l1 = log_1mq[m][lift]
-        usable = defined_by_order[m][lift]
-        lq = np.where(usable, lq, 0.0)
-        l1 = np.where(usable, l1, 0.0)
+        log_q, log_1mq = logs[m]
+        lq, l1 = log_q[lift], log_1mq[lift]
         scores += type_counts[m] @ (lq - l1).T + l1 @ caps
     return scores
 
@@ -146,11 +143,8 @@ def refine_step(h: Hypergraph, labels, estimated: EstimatedTensors,
     Ties are broken uniformly at random with a draw keyed by
     (seed, step, vertex), so any evaluation order gives the same labels.
     """
-    k = estimated.k
-    log_q, log_1mq, defined = {}, {}, {}
-    for m in estimated.orders:
-        log_q[m], log_1mq[m], defined[m] = estimated.clamped_logs(m)
-    scores = _likelihood_scores(h, labels, k, log_q, log_1mq, defined)
+    logs = {m: estimated.clamped_logs(m) for m in estimated.orders}
+    scores = _likelihood_scores(h, labels, estimated.k, logs)
     row_max = scores.max(axis=1)
     new_labels = np.argmax(scores, axis=1).astype(np.int64)
     tie_rows = np.flatnonzero((scores == row_max[:, None]).sum(axis=1) > 1)
@@ -218,14 +212,11 @@ def map_correct(h: Hypergraph, labels0, tensors: ProbabilityTensors, alpha) -> n
     """
     labels0 = np.asarray(labels0, dtype=np.int64)
     alpha = validate_prior(alpha)
-    k = tensors.k
     for m in tensors.orders:
         q = tensors.q[m]
         if np.any(q <= 0.0) or np.any(q >= 1.0):
             raise ValueError(f"order {m}: probabilities must be strictly inside (0, 1)")
-    log_q = {m: np.log(tensors.q[m]) for m in tensors.orders}
-    log_1mq = {m: np.log1p(-tensors.q[m]) for m in tensors.orders}
-    defined = {m: np.ones(len(tensors.q[m]), dtype=bool) for m in tensors.orders}
-    scores = _likelihood_scores(h, labels0, k, log_q, log_1mq, defined)
+    logs = {m: (np.log(q), np.log1p(-q)) for m, q in tensors.q.items()}
+    scores = _likelihood_scores(h, labels0, tensors.k, logs)
     scores += np.log(alpha)[None, :]
     return np.argmax(scores, axis=1).astype(np.int64)

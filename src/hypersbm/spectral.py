@@ -133,9 +133,8 @@ def default_radius(degrees) -> float:
     degrees = np.asarray(degrees)
     dbar = float(degrees.mean())
     if dbar <= 1.0:
-        raise DegenerateDegreeError(
-            f"mean degree {dbar:.3g} <= 1; supply a radius from known parameters")
-    return dbar * dbar / (len(degrees) * math.log(dbar))
+        raise DegenerateDegreeError(f"mean degree {dbar:.3g} <= 1")
+    return radius_from_degree_scale(dbar, len(degrees))
 
 
 def radius_from_degree_scale(rho: float, n: int) -> float:
@@ -148,34 +147,40 @@ def radius_from_degree_scale(rho: float, n: int) -> float:
 # Squared distances computed at once in the ball table: a block of centers
 # times the kept vertices.
 BALL_BLOCK = 1 << 16
-# numpy sums runs of at most this many terms with eight partial sums.
-_PAIRWISE_BLOCK = 128
 
 
-def _pairwise_sum(term, lo: int, hi: int):
-    """Sum of term(lo) .. term(hi - 1), added in the order numpy's pairwise
-    summation adds the entries of a contiguous row, so each element equals
-    the row sum of the individual terms bit for bit."""
-    count = hi - lo
-    if count < 8:
-        total = term(lo)
-        for j in range(lo + 1, hi):
-            total += term(j)
-        return total
-    if count <= _PAIRWISE_BLOCK:
-        part = [term(lo + j) for j in range(8)]
-        stop = hi - count % 8
-        for i in range(lo + 8, stop, 8):
-            for j in range(8):
-                part[j] += term(i + j)
-        total = ((part[0] + part[1]) + (part[2] + part[3])) + \
-                ((part[4] + part[5]) + (part[6] + part[7]))
-        for j in range(stop, hi):
-            total += term(j)
-        return total
-    half = count // 2
-    half -= half % 8
-    return _pairwise_sum(term, lo, lo + half) + _pairwise_sum(term, lo + half, hi)
+def _sum_squared_gaps(block, emb_t, cols, out, scratch) -> None:
+    """Sum over the coordinates ``cols`` (a range) of the squared gaps
+    between the block rows and the kept vertices, written into ``out`` in
+    the order numpy's pairwise summation adds a contiguous row, so each
+    entry equals that row sum bit for bit.
+
+    Below 8 terms numpy adds one after another.  Up to 128 it keeps eight
+    running sums, combines them as ((0+1)+(2+3))+((4+5)+(6+7)) and adds the
+    rest one by one; above 128 it sums two halves, the first a multiple of
+    8 long.  ``scratch`` holds buffers shaped like ``out``: one below 8
+    terms, eight from 8 on; above 128 each second half gets one of its own.
+    """
+    count = len(cols)
+    if count > 128:
+        half = count // 2 // 8 * 8
+        right = np.empty_like(out)
+        _sum_squared_gaps(block, emb_t, cols[:half], out, scratch)
+        _sum_squared_gaps(block, emb_t, cols[half:], right, scratch)
+        out += right
+        return
+    width = 8 if count >= 8 else 1  # running sums
+    stop = count - count % width  # terms that go to the running sums
+    parts, term = [out, *scratch[:width - 1]], scratch[width - 1]
+    for j, col in enumerate(cols):
+        gap = parts[j] if j < width else term
+        np.subtract(block[:, col, None], emb_t[col], out=gap)
+        np.multiply(gap, gap, out=gap)
+        if j >= width:
+            parts[j % width if j < stop else 0] += term
+        if j + 1 == stop:
+            for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4))[:width - 1]:
+                parts[a] += parts[b]
 
 
 def _ball_table(emb, kept, centers, radius: float) -> np.ndarray:
@@ -183,37 +188,21 @@ def _ball_table(emb, kept, centers, radius: float) -> np.ndarray:
     from each center to each kept vertex is at most ``radius``.
 
     Centers go in blocks of at most ``BALL_BLOCK`` distances, and each block
-    adds the squared coordinate gaps one coordinate at a time over the kept
-    embedding transposed to (k, kept); the sums equal numpy's row sums of
-    the squared gaps exactly.  Below eight coordinates numpy adds the terms
-    one after another, so there the block accumulates them in place, in two
-    buffers allocated once.
+    sums the squared coordinate gaps over the kept embedding transposed to
+    (k, kept) in buffers allocated once; the sums equal numpy's row sums of
+    the squared gaps exactly.
     """
     emb_t = np.ascontiguousarray(emb[kept].T)
     table = np.empty((len(centers), len(kept)), dtype=bool)
     step = max(1, BALL_BLOCK // len(kept))
     k = emb.shape[1]
-    if k < 8:
-        rows = min(step, len(centers))
-        sums, squares = np.empty((rows, len(kept))), np.empty((rows, len(kept)))
+    shape = (min(step, len(centers)), len(kept))
+    buffers = [np.empty(shape) for _ in range(2 if k < 8 else 9)]
     for start in range(0, len(centers), step):
         block = emb[centers[start:start + step]]
-        if k < 8:
-            acc, sq = sums[:len(block)], squares[:len(block)]
-            np.subtract(block[:, 0, None], emb_t[0], out=acc)
-            np.multiply(acc, acc, out=acc)
-            for col in range(1, k):
-                np.subtract(block[:, col, None], emb_t[col], out=sq)
-                np.multiply(sq, sq, out=sq)
-                np.add(acc, sq, out=acc)
-            np.less_equal(acc, radius, out=table[start:start + step])
-            continue
-
-        def term(col):
-            gap = block[:, col, None] - emb_t[col]
-            return gap * gap
-
-        table[start:start + step] = _pairwise_sum(term, 0, k) <= radius
+        sums, *scratch = [buf[:len(block)] for buf in buffers]
+        _sum_squared_gaps(block, emb_t, range(k), sums, scratch)
+        np.less_equal(sums, radius, out=table[start:start + step])
     return table
 
 

@@ -231,7 +231,7 @@ def test_negative_ids_and_labels_are_one_line_and_exit_two(config_path, tmp_path
     graph = hs.Hypergraph(60, {2: np.array([[0, 3]])})
     for h, truth, message in [
             (hs.Hypergraph(60, {2: np.array([[-1, 3]])}), np.zeros(60),
-             "order 2: vertex ids must lie in 0..2**63-2, got -1"),
+             "order 2: vertex ids must lie in 0..59, got -1"),
             (graph, np.full(60, -1), "labels must lie in 0..2**63-2, got -1")]:
         monkeypatch.setattr(cli, "sample_instance", lambda *args: (None, truth, h))
         assert main(["sample", "--config", config_path, "--out", str(h_path),

@@ -847,15 +847,17 @@ def test_writing_needs_no_memory_sized_by_n(tmp_path):
                                                 "2 6 2147483647\n2 2147483646 2147483647\n")
 
 
-@pytest.mark.parametrize("edges, message", [
-    ({2: [[-1, 0]]}, "order 2: vertex ids must lie in 0..2**63-2, got -1"),
-    ({2: [[0, 1]], 3: [[0, 1, -5]]}, "order 3: vertex ids must lie in 0..2**63-2, got -5"),
-    ({2: [[0, 2**63 - 1]]}, f"order 2: vertex ids must lie in 0..2**63-2, got {2**63 - 1}"),
+@pytest.mark.parametrize("edges, message, n", [
+    ({2: [[-1, 0]]}, "order 2: vertex ids must lie in 0..2, got -1", 3),
+    ({2: [[0, 1]], 3: [[0, 1, -5]]}, "order 3: vertex ids must lie in 0..2, got -5", 3),
+    ({2: [[0, 2**63 - 1]]}, f"order 2: vertex ids must lie in 0..2**63-2, got {2**63 - 1}",
+     2**64),
+    ({2: [[0, 5]]}, "order 2: vertex ids must lie in 0..2, got 5", 3),
 ])
-def test_an_unwritable_id_is_an_error_before_the_file_opens(tmp_path, edges, message):
+def test_an_unwritable_id_is_an_error_before_the_file_opens(tmp_path, edges, message, n):
     path = tmp_path / "h.txt"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        hs.write_hypergraph(Hypergraph(3, {m: np.array(e) for m, e in edges.items()}), path)
+        hs.write_hypergraph(Hypergraph(n, {m: np.array(e) for m, e in edges.items()}), path)
     assert not path.exists()
 
 

@@ -273,6 +273,13 @@ def test_refine_survives_collapsed_initial_labelling():
     # the empty block's types are undefined and contribute nothing
     h, z, _ = planted_instance(80, 12, 2, 21)
     collapsed = np.zeros(80, dtype=int)
+    est = hs.estimate_tensors(h, collapsed, 2)
+    log_q, log_1mq = est.clamped_logs(2)
+    assert est.defined[2].tolist() == [True, False, False]
+    assert log_q[1:].tolist() == log_1mq[1:].tolist() == [0.0, 0.0]
+    # the empty block's types score 0, above every defined log-likelihood,
+    # so the first round moves every vertex there
+    assert np.array_equal(hs.refine_step(h, collapsed, est, seed=0), np.ones(80))
     labels, rounds, _ = hs.agnostic_refine(h, collapsed, 2, seed=0)
     assert labels.shape == (80,)
     assert set(np.unique(labels)) <= {0, 1}

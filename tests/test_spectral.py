@@ -180,9 +180,9 @@ def test_default_radius_values():
 
 
 def test_default_radius_degenerate():
-    with pytest.raises(DegenerateDegreeError):
+    with pytest.raises(DegenerateDegreeError, match=r"^mean degree 1 <= 1$"):
         hs.default_radius(np.ones(50))
-    with pytest.raises(DegenerateDegreeError):
+    with pytest.raises(DegenerateDegreeError, match=r"^degree scale 0\.8 <= 1$"):
         hs.radius_from_degree_scale(0.8, 100)
 
 
@@ -232,7 +232,7 @@ def grid_embedding(n, k, seed):
     return np.random.default_rng(seed).integers(-2, 3, size=(n, k)).astype(float)
 
 
-@pytest.mark.parametrize("k", range(1, 13))
+@pytest.mark.parametrize("k", [*range(1, 13), 64, 128, 129, 136, 300])
 def test_ball_table_matches_rowwise_oracle(k, monkeypatch):
     rng = np.random.default_rng(k)
     n = 300
@@ -244,7 +244,9 @@ def test_ball_table_matches_rowwise_oracle(k, monkeypatch):
     gaps = scaled[centers[0]] - scaled[kept]
     # radii equal to computed distances put a vertex exactly on the boundary
     cases = [(scaled, r) for r in (gaps * gaps).sum(axis=1)[:10]]
-    cases += [(grid_embedding(n, k, k), float(r)) for r in range(1, 2 * k + 1)]
+    # integer radii up to 2k: every one up to k = 23, about two dozen above
+    radii = range(1, 2 * k + 1, max(1, k // 12))
+    cases += [(grid_embedding(n, k, k), float(r)) for r in radii]
     for emb, radius in cases:
         table = spectral._ball_table(emb, kept, centers, radius)
         assert np.array_equal(table, ball_table_rowwise(emb, kept, centers, radius))
