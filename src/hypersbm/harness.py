@@ -9,6 +9,7 @@ contract, so sweeps can be sharded across processes and reproduced exactly.
 import ctypes
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -321,16 +322,19 @@ def _run_trial_job(args):
     return run_trial(config, point, seed)
 
 
-# Thread-count setters of the OpenBLAS builds in numpy's wheels (64-bit
-# integers) and scipy's, then that of a plain OpenBLAS build.
-_OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_",
-                        "scipy_openblas_set_num_threads",
-                        "openblas_set_num_threads")
+# Thread-count getters and setters of the OpenBLAS builds in numpy's wheels
+# (64-bit integers) and scipy's, then those of a plain OpenBLAS build.
+_OPENBLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
 def _loaded_openblas() -> list:
-    """Handles of the OpenBLAS libraries this process has already loaded,
-    found through /proc/self/maps; empty where that file does not exist."""
+    """(path, getter, setter) of the thread count of each OpenBLAS library
+    this process has already loaded, found through /proc/self/maps; empty
+    where that file does not exist."""
     paths = set()
     try:
         with open("/proc/self/maps") as fh:
@@ -340,45 +344,56 @@ def _loaded_openblas() -> list:
                     paths.add(fields[5])
     except OSError:
         return []
-    libs = []
+    controls = []
     for path in sorted(paths):
         try:
-            libs.append(ctypes.CDLL(path, mode=os.RTLD_NOLOAD))
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
         except OSError:  # unmapped since, or not a shared library
             continue
-    return libs
-
-
-def _cap_blas_threads(workers: int) -> None:
-    """Pool initializer: give each of ``workers`` forked processes an equal
-    share of the CPUs for OpenBLAS, so they do not oversubscribe them.
-
-    OpenBLAS reads its thread variables only when it loads, so a forked
-    worker must set the count through the library itself.  A thread count
-    the user set in OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is kept.
-    """
-    if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
-        return
-    libs = _loaded_openblas()
-    if not libs:
-        return
-    threads = max(1, len(os.sched_getaffinity(0)) // workers)
-    for lib in libs:
-        for symbol in _OPENBLAS_SET_THREADS:
-            setter = getattr(lib, symbol, None)
-            if setter is not None:
+        for get_name, set_name in _OPENBLAS_THREAD_FUNCTIONS:
+            getter, setter = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if getter is not None and setter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
                 setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(threads)
+                controls.append((path, getter, setter))
                 break
+    return controls
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with every loaded OpenBLAS at one thread, and give each
+    its count back afterwards.
+
+    The trials' linear algebra is sparse products and ARPACK's work on thin
+    blocks, where waking OpenBLAS's threads costs more than they save.
+    Processes forked inside the block inherit the one thread; setting the
+    count in a forked process would restart OpenBLAS's thread pool there.
+    A thread count the user set in OPENBLAS_NUM_THREADS or OMP_NUM_THREADS
+    is kept.
+    """
+    lowered = []
+    if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+        for _, getter, setter in _loaded_openblas():
+            threads = getter()
+            if threads > 1:
+                setter(1)
+                lowered.append((setter, threads))
+    try:
+        yield
+    finally:
+        for setter, threads in lowered:
+            setter(threads)
 
 
 def phase_sweep(config: ExperimentConfig, workers: int = 1):
     """Run every (point, trial) job and aggregate exact-recovery rates.
 
     Trial t of every point uses seed ``config.seed + t``.  With workers > 1
-    jobs run in separate processes, each with ``cpus // workers`` BLAS
-    threads; results are ordered by (point, trial) either way, so the output
-    is identical to a sequential run.
+    jobs run in separate processes.  Either way the jobs run at one OpenBLAS
+    thread, and the caller's thread counts are restored afterwards; results
+    are ordered by (point, trial), so the output is identical to a
+    sequential run.
     """
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
@@ -387,7 +402,7 @@ def phase_sweep(config: ExperimentConfig, workers: int = 1):
             for point in points for t in range(config.trials)]
     # Every trial needs the sparse stack.  Loading it once here, before the
     # first trial and before the fork, keeps its import out of each worker
-    # and out of the first trial's wall_ms, and lets _cap_blas_threads see
+    # and out of the first trial's wall_ms, and lets _one_blas_thread see
     # the OpenBLAS that scipy brings.
     import scipy.sparse.linalg  # noqa: F401
     # Each point's threshold, computed once here, travels with its jobs and
@@ -395,14 +410,14 @@ def phase_sweep(config: ExperimentConfig, workers: int = 1):
     if config.k >= 2:
         for point in points:
             point._threshold(config.alpha)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    with _one_blas_thread():
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers, initializer=_cap_blas_threads,
-                                 initargs=(workers,)) as pool:
-            records = list(pool.map(_run_trial_job, jobs))
-    else:
-        records = [_run_trial_job(job) for job in jobs]
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                records = list(pool.map(_run_trial_job, jobs))
+        else:
+            records = [_run_trial_job(job) for job in jobs]
     summaries = []
     for i, point in enumerate(points):
         batch = records[i * config.trials:(i + 1) * config.trials]

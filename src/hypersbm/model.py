@@ -379,13 +379,13 @@ def adjacency_matrix(h: Hypergraph) -> "sp.csr_matrix":
     """Symmetric pair-incidence counts as a float64 CSR matrix: entry (i, j)
     is the number of edges containing both i and j; the diagonal is zero.
 
-    The upper-triangle pairs are gathered as int32 and counted in int32;
-    only the finished counts become float64, and the result shares their
-    index arrays.  The build peaks at about 1.4 times the memory of its
+    The upper-triangle pairs are sorted as one int64 key each and counted
+    in int32; only the finished counts become float64, and the result shares
+    their index arrays.  The build peaks at about 1.4 times the memory of its
     result.  A build of at least 2^17 pairs hands the C heap's free pages
-    back to the operating system after it frees its pair lists and again
-    after the sum, so its peak resident memory does not depend on what
-    earlier work left behind.
+    back to the operating system before it allocates its keys, before and
+    after the sum and after the float64 conversion, so its peak resident
+    memory does not depend on what earlier work left behind.
     A count is at most the number of edges, which stays below 2^31 for any
     graph whose edge arrays fit in memory, so it cannot wrap.
     Vertex ids must fit in int32: n > 2^31 - 1 is a ValueError.
@@ -434,34 +434,63 @@ def _release_free_heap() -> None:
 
 def _pair_counts(n: int, edges: dict, ids=None) -> "sp.csr_matrix":
     """Float64 CSR pair counts on n vertices of the edge arrays, with each
-    vertex v renamed ``ids[v]`` when ``ids`` is given."""
+    vertex v renamed ``ids[v]`` when ``ids`` is given.
+
+    Each pair (u, v) of an edge's members, u from an earlier column than v,
+    becomes one int64 key ``u << 32 | v``.  Sorted, the keys are the row-major
+    order of a canonical CSR matrix: a run of equal keys is one entry and its
+    length the count.  A pair stored as (v, u) lies below the diagonal, and
+    the symmetric sum counts it all the same.
+    """
     import scipy.sparse as sp  # not at module level: sampling and thresholds need no scipy
 
     if n > 2**31 - 1:
         raise ValueError(f"adjacency matrix needs n <= 2**31 - 1, got n={n}")
-    rows, cols = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
+    total = sum(len(e) * math.comb(m, 2) for m, e in edges.items())
+    trim = total >= _TRIM_MIN_PAIRS
+    if trim:
+        _release_free_heap()
+    key = np.empty(total, dtype=np.int64)
+    end = 0
     for m, e in edges.items():
         if ids is not None:
             e = ids[e]
         for a in range(m):
             for b in range(a + 1, m):
-                rows.append(e[:, a])
-                cols.append(e[:, b])
-    r = np.concatenate(rows, dtype=np.int32)
-    c = np.concatenate(cols, dtype=np.int32)
-    del rows, cols
-    trim = len(r) >= _TRIM_MIN_PAIRS
-    ones = np.ones(len(r), dtype=np.int32)
-    upper = sp.coo_matrix((ones, (r, c)), shape=(n, n)).tocsr()
-    del r, c, ones
+                start, end = end, end + len(e)
+                # int64 before the shift: an int32 id shifted by 32 wraps
+                np.left_shift(e[:, a], 32, out=key[start:end], dtype=np.int64)
+                np.bitwise_or(key[start:end], e[:, b], out=key[start:end], dtype=np.int64)
+    key.sort()
+    # run boundaries, with one more at the end: entry i spans starts[i]:starts[i + 1]
+    edge = np.empty(total + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(key[1:], key[:-1], out=edge[1:-1])
+    key = key[edge[:-1]]
+    starts = np.flatnonzero(edge)
+    del edge
+    data = np.empty(len(key), dtype=np.int32)
+    np.subtract(starts[1:], starts[:-1], out=data)
+    del starts
+    indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) << 32).astype(np.int32)
+    np.bitwise_and(key, 0xFFFFFFFF, out=key)
+    indices = key.astype(np.int32)
+    del key
+    upper = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    upper.has_canonical_format = True
+    del data, indices, indptr
     if trim:
         _release_free_heap()
     counts = upper + upper.T
     del upper
     if trim:
         _release_free_heap()
-    return sp.csr_matrix((counts.data.astype(np.float64), counts.indices, counts.indptr),
-                         shape=(n, n))
+    adjacency = sp.csr_matrix((counts.data.astype(np.float64), counts.indices, counts.indptr),
+                              shape=(n, n))
+    del counts
+    if trim:
+        _release_free_heap()
+    return adjacency
 
 
 def max_expected_degree(tensors: ProbabilityTensors, alpha, n: int) -> float:

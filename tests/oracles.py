@@ -187,6 +187,29 @@ def count_communities_tight(h) -> CommunityCountEstimate:
     return CommunityCountEstimate(k_hat=k_hat, eigenvalues=vals, threshold=threshold)
 
 
+def adjacency_matrix_coo(n: int, edges: dict, ids=None):
+    """Float64 CSR pair counts of the edge arrays on n vertices, vertex v
+    renamed ``ids[v]`` when ``ids`` is given, through scipy's COO to CSR
+    conversion (the reference for model.adjacency_matrix and
+    model.live_adjacency)."""
+    import scipy.sparse as sp
+
+    rows, cols = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
+    for m, e in edges.items():
+        if ids is not None:
+            e = ids[e]
+        for a in range(m):
+            for b in range(a + 1, m):
+                rows.append(e[:, a])
+                cols.append(e[:, b])
+    r = np.concatenate(rows, dtype=np.int32)
+    c = np.concatenate(cols, dtype=np.int32)
+    upper = sp.coo_matrix((np.ones(len(r), dtype=np.int32), (r, c)), shape=(n, n)).tocsr()
+    counts = upper + upper.T
+    return sp.csr_matrix((counts.data.astype(np.float64), counts.indices, counts.indptr),
+                         shape=(n, n))
+
+
 def live_adjacency_slice(h, live):
     """The adjacency of the vertices in the boolean mask ``live``, sliced
     out of the full matrix."""

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import hypersbm as hs
-from blas_probe import blas_thread_counts, blas_threads_job
+from blas_probe import blas_thread_counts, blas_threads_job, os_threads_job
 from hypersbm import harness
 from hypersbm.harness import CSV_COLUMNS, grid_points
 
@@ -273,14 +273,25 @@ def run_python(script, *args, **env_vars):
 
 
 @needs_openblas
-def test_pool_workers_split_the_cpus_between_them(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_jobs_run_at_one_blas_thread(monkeypatch, workers):
     for var in THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setattr(harness, "_run_trial_job", blas_threads_job)
-    records, _ = hs.phase_sweep(hs.parse_config(SWEEP_CONFIG), workers=2)
-    cap = max(1, CPUS // 2)
-    expected = {path: cap for path in blas_thread_counts()}
+    records, _ = hs.phase_sweep(hs.parse_config(SWEEP_CONFIG), workers=workers)
+    expected = {path: 1 for path in blas_thread_counts()}
     assert [r.threads for r in records] == [expected] * len(records)
+
+
+@needs_openblas
+def test_pool_workers_inherit_one_blas_thread_and_start_no_other(monkeypatch):
+    # a worker that set its own count would restart OpenBLAS's thread pool
+    # there: one OS thread more for numpy's OpenBLAS and one for scipy's
+    for var in THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(harness, "_run_trial_job", os_threads_job)
+    records, _ = hs.phase_sweep(hs.parse_config(SWEEP_CONFIG), workers=2)
+    assert [r.os_threads for r in records] == [1] * len(records)
 
 
 @needs_openblas
@@ -327,7 +338,6 @@ print(json.dumps({{"before": before, "loaded": [r.loaded for r in records],
 
 
 @needs_openblas
-@pytest.mark.skipif(CPUS < 2, reason="the cap must differ from OpenBLAS's own default")
 def test_pool_workers_cap_the_blas_that_scipy_loads():
     # in a fresh process the sweep must load scipy's own OpenBLAS before it
     # forks, or the workers load it uncapped when their first trial runs
@@ -335,7 +345,7 @@ def test_pool_workers_cap_the_blas_that_scipy_loads():
     assert out["before"] is False
     assert all(out["loaded"]) and len(out["loaded"]) == 4
     for threads in out["workers"]:
-        assert threads and set(threads.values()) == {max(1, CPUS // 2)}
+        assert threads and set(threads.values()) == {1}
 
 
 def test_sequential_sweep_loads_the_sparse_stack_before_its_first_trial():

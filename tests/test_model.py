@@ -16,6 +16,7 @@ import hypersbm as hs
 from hypersbm import model
 from hypersbm.model import Hypergraph, make_hypergraph
 from oracles import (
+    adjacency_matrix_coo,
     canonical_edge_array_lexsort,
     composition_index,
     expected_adjacency,
@@ -543,7 +544,43 @@ def test_adjacency_matches_golden_digest():
     assert _csr_digest(a) == "910b11468fe1eb99a6bc656fcd4868f800e0e255a17f076880130f7b305471cf"
 
 
-def test_adjacency_build_peaks_below_twice_its_result():
+def _assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def _unordered_edges(rng, n, dtype):
+    """Edge arrays of orders 2-4 with members and rows in random order, one
+    order empty, and pairs of the larger orders' rows repeated, reversed,
+    in order 2 when order 2 is not the empty one."""
+    empty = int(rng.integers(2, 5))
+    edges = {m: np.array([rng.choice(n, size=m, replace=False)
+                          for _ in range(0 if m == empty else int(rng.integers(1, 40)))],
+                         dtype=dtype).reshape(-1, m)
+             for m in (2, 3, 4)}
+    if empty != 2:
+        repeats = [e[:, [1, 0]] for m, e in edges.items() if m > 2]
+        edges[2] = rng.permutation(np.concatenate([edges[2], *repeats]))
+    return edges
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16])
+def test_adjacency_equals_the_coo_build(dtype):
+    # an id that is shifted before it is widened to int64 wraps to a wrong key
+    rng = np.random.default_rng(np.dtype(dtype).itemsize)
+    for n in (5, 40, 65535) * 8:
+        edges = _unordered_edges(rng, n, dtype)
+        h = Hypergraph(n, edges)
+        _assert_same_csr(hs.adjacency_matrix(h), adjacency_matrix_coo(n, edges))
+        live = h.degrees() > 0
+        ids = np.cumsum(live) - 1
+        _assert_same_csr(model.live_adjacency(h, live),
+                         adjacency_matrix_coo(int(ids[-1]) + 1, edges, ids))
+
+
+def test_adjacency_build_peaks_below_one_and_a_half_times_its_result():
     h = _two_level_sample(20000, 4, {2: 12.0, 3: 14.0, 4: 10.0}, {2: 1.0, 3: 1.5, 4: 1.0},
                           [7, 11], [7, 12])
     tracemalloc.start()
@@ -553,7 +590,9 @@ def test_adjacency_build_peaks_below_twice_its_result():
     finally:
         tracemalloc.stop()
     result = a.indptr.nbytes + a.indices.nbytes + a.data.nbytes
-    assert peak <= 2 * result, (peak, result)
+    # the build peaks at about 1.34 times its result; a key array kept alive
+    # past the sum reads 1.67
+    assert peak <= 1.5 * result, (peak, result)
 
 
 def test_adjacency_rejects_ids_beyond_int32():
@@ -592,7 +631,7 @@ def test_adjacency_build_trims_the_heap_only_when_large(monkeypatch):
     for h in (large, first):
         calls.clear()
         hs.adjacency_matrix(h)
-        assert calls == [0, 0]
+        assert calls == [0, 0, 0, 0]
 
 
 def test_live_adjacency_equals_the_slice():
