@@ -463,12 +463,12 @@ def _pair_counts(n: int, edges: dict, ids=None) -> "sp.csr_matrix":
                 np.bitwise_or(key[start:end], e[:, b], out=key[start:end], dtype=np.int64)
     key.sort()
     # run boundaries, with one more at the end: entry i spans starts[i]:starts[i + 1]
-    edge = np.empty(total + 1, dtype=bool)
-    edge[0] = edge[-1] = True
-    np.not_equal(key[1:], key[:-1], out=edge[1:-1])
-    key = key[edge[:-1]]
-    starts = np.flatnonzero(edge)
-    del edge
+    boundary = np.empty(total + 1, dtype=bool)
+    boundary[0] = boundary[-1] = True
+    np.not_equal(key[1:], key[:-1], out=boundary[1:-1])
+    key = key[boundary[:-1]]
+    starts = np.flatnonzero(boundary)
+    del boundary
     data = np.empty(len(key), dtype=np.int32)
     np.subtract(starts[1:], starts[:-1], out=data)
     del starts
