@@ -40,10 +40,9 @@ print("\nwithin-rate sweep at n=500 (cross fixed at 2):")
 for a in (4, 6, 8, 10, 12):
     cf = hs.two_level_coefficients(2, {2: float(a)}, {2: 2.0})
     rep = hs.chernoff_hellinger(alpha, cf, 500)
-    verdict = hs.classify_regime(rep.value)
     pair = rep.pairs[0]
     print(f"  a={a:2d}: divergence {rep.value:.3f} at t*={pair.t_star:.3f}"
-          f" -> {verdict.label}")
+          f" -> {hs.classify_regime(rep.value)}")
 
 # three communities: the minimum over pairs is what matters
 coeffsk = hs.two_level_coefficients(3, {2: 14.0}, {2: 2.0})
@@ -57,7 +56,7 @@ print(f"  minimum {rep.value:.4f} at pair {rep.argmin}")
 n = 10**4
 T = hs.ProbabilityTensors.from_unscaled(2, coeffs, n)
 gkl = hs.minimax_kl_pair(0, 1, T, alpha, n)
-gch = hs.chernoff_hellinger_pair(0, 1, alpha, coeffs, n).value
+gch = hs.chernoff_hellinger(alpha, coeffs, n).value
 print(f"\nKL separation {gkl:.2f} vs divergence * log n {gch * math.log(n):.2f}")
 
 # model assumption checks used by the initialization stage

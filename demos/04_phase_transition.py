@@ -27,7 +27,7 @@ print("within-rate sweep at n=300, 10 trials per point:")
 print(f"{'within':>7} {'divergence':>11} {'verdict':>11} {'recovery rate':>14}")
 for point, summary in zip(hs.grid_points(config), summaries):
     rep = hs.chernoff_hellinger(config.alpha, point.coefficients, point.n)
-    verdict = hs.classify_regime(rep.value).label
+    verdict = hs.classify_regime(rep.value)
     print(f"{point.sweep_value:7.0f} {rep.value:11.3f} {verdict:>11} "
           f"{summary.success_rate:14.2f}")
 

@@ -33,7 +33,7 @@ for name, cf in (("graph layer alone", c2), ("triple layer alone", c3),
                  ("union of layers", both)):
     val = hs.chernoff_hellinger(alpha, cf, n).value
     print(f"{name}: divergence {val:.3f} "
-          f"({hs.classify_regime(val).label})")
+          f"({hs.classify_regime(val)})")
 
 T = hs.ProbabilityTensors.from_unscaled(2, both, n)
 wins = {"union": 0, "graph": 0, "triples": 0}

@@ -13,10 +13,8 @@ from .compositions import (
 from .divergence import (
     DivergenceReport,
     PairDivergence,
-    RegimeVerdict,
     center_separation_table,
     chernoff_hellinger,
-    chernoff_hellinger_pair,
     classify_regime,
     kl_bernoulli,
     minimax_kl_pair,

@@ -40,9 +40,9 @@ def _cmd_threshold(args) -> int:
         print("  pair   t*          finite      asymptotic")
         for p, pa in zip(finite.pairs, asym.pairs):
             print(f"  {p.j + 1}-{p.k + 1}    {p.t_star:<10.6f}  {p.value:<10.6f}  {pa.value:<10.6f}")
-        verdict = classify_regime(finite.value)
         print(f"  global: {finite.value:.6f} at pair "
-              f"{finite.argmin[0] + 1}-{finite.argmin[1] + 1} -> {verdict.label}")
+              f"{finite.argmin[0] + 1}-{finite.argmin[1] + 1} -> "
+              f"{classify_regime(finite.value)}")
         print("j,k,t_star,d_gch")
         for p in finite.pairs:
             print(f"{p.j + 1},{p.k + 1},{p.t_star:.9g},{p.value:.9g}")

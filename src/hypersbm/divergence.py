@@ -8,6 +8,7 @@ achievable above 1, so the minimum over community pairs acts as the
 threshold of the model.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,13 +19,20 @@ from .compositions import (
     member_lift_table,
     multinomial_weight_vector,
 )
-from .model import ProbabilityTensors, max_expected_degree, validate_prior
+from .model import (
+    ProbabilityTensors,
+    check_coefficients,
+    max_expected_degree,
+    validate_prior,
+)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Width of the bracket at which the golden-section search on [0, 1] stops.
 SEARCH_TOL = 1e-9
 # Half-width of the band around 1 that ``classify_regime`` calls critical.
 CRITICAL_BAND = 1e-3
+# Least scaled row gap at which ``center_separation_table`` calls a pair separated.
+SEPARATION_EPS = 0.1
 
 
 def kl_bernoulli(y: float, q: float) -> float:
@@ -68,16 +76,17 @@ def maximize_concave(f):
     return best
 
 
-def _pair_layers(j: int, k: int, alpha, coefficients: dict, n: int, weights: str):
-    """Per-order (weight, coeff_j, coeff_k) arrays over types of m-1 members.
+def _layers(alpha: np.ndarray, coefficients: dict, n: int, weights: str) -> list:
+    """Per order, ascending: the weights over types of m-1 members and the
+    coefficients lifted to [community, type].
 
     ``weights``: "finite" uses the capacity ratio at this n; "asymptotic"
     uses its large-n limit (a multinomial law over types).
     """
-    alpha = validate_prior(alpha)
     num_communities = len(alpha)
     layers = []
     for m, coeff in sorted(coefficients.items()):
+        coeff = check_coefficients(m, coeff)
         if weights == "finite":
             if n < m + 1:
                 raise ValueError(f"need n >= {m + 1} for order {m}")
@@ -87,25 +96,22 @@ def _pair_layers(j: int, k: int, alpha, coefficients: dict, n: int, weights: str
             wts = multinomial_weight_vector(m - 1, num_communities, alpha)
         else:
             raise ValueError(f"unknown weights mode {weights!r}")
-        lift = member_lift_table(m, num_communities)
-        layers.append((wts, coeff[lift[j]], coeff[lift[k]]))
+        layers.append((wts, coeff[member_lift_table(m, num_communities)]))
     return layers
 
 
-def pair_objective(j: int, k: int, alpha, coefficients, n: int, weights: str = "finite"):
-    """The tilting objective t -> sum over layers and types of
-    weight * (t*cj + (1-t)*ck - cj^t * ck^(1-t)).
+def _tilting(layers: list, j: int, k: int):
+    """The tilting objective of communities j and k: t -> sum over layers
+    and types of weight * (t*cj + (1-t)*ck - cj^t * ck^(1-t)).
 
     Nonnegative by the AM-GM inequality, zero at both endpoints, concave
     in t.  Zero coefficients follow the limit convention 0^t = 0 for t > 0
     and 0^0 = 1, which keeps the objective continuous on (0, 1].
     """
-    coefficients = {m: np.asarray(v, dtype=float) for m, v in coefficients.items()}
-    layers = _pair_layers(j, k, alpha, coefficients, n, weights)
-
     def objective(t: float) -> float:
         total = 0.0
-        for wts, cj, ck in layers:
+        for wts, lifted in layers:
+            cj, ck = lifted[j], lifted[k]
             total += float(wts @ (t * cj + (1.0 - t) * ck - cj**t * ck**(1.0 - t)))
         return total
 
@@ -124,42 +130,24 @@ class PairDivergence:
 class DivergenceReport:
     """Pairwise divergences, their minimum, and the minimizing pair."""
 
-    pairs: tuple
+    pairs: tuple  # PairDivergence for each j < k, in lexicographic order
     value: float
     argmin: tuple
 
-    def pair(self, j: int, k: int) -> PairDivergence:
-        j, k = min(j, k), max(j, k)
-        for p in self.pairs:
-            if (p.j, p.k) == (j, k):
-                return p
-        raise KeyError((j, k))
 
-
-def chernoff_hellinger_pair(j: int, k: int, alpha, coefficients, n: int,
-                            weights: str = "finite") -> PairDivergence:
-    """Best tilting separation between communities j and k.
+def chernoff_hellinger(alpha, coefficients, n: int, weights: str = "finite") -> DivergenceReport:
+    """Best tilting separation of every community pair, and the minimum.
 
     ``coefficients`` maps each order to its unscaled per-type rates.
     """
-    if j == k:
-        raise ValueError("communities must be distinct")
-    f = pair_objective(j, k, alpha, coefficients, n, weights)
-    t_star, value = maximize_concave(f)
-    return PairDivergence(j=j, k=k, value=value, t_star=t_star)
-
-
-def chernoff_hellinger(alpha, coefficients, n: int, weights: str = "finite") -> DivergenceReport:
-    """Divergence for every community pair and the overall minimum."""
     alpha = validate_prior(alpha)
-    num_communities = len(alpha)
-    if num_communities < 2:
+    if len(alpha) < 2:
         raise ValueError("need at least two communities")
+    layers = _layers(alpha, coefficients, n, weights)
     pairs = []
-    for j in range(num_communities):
-        for k in range(j + 1, num_communities):
-            pairs.append(chernoff_hellinger_pair(j, k, alpha, coefficients, n,
-                                                 weights=weights))
+    for j, k in itertools.combinations(range(len(alpha)), 2):
+        t_star, value = maximize_concave(_tilting(layers, j, k))
+        pairs.append(PairDivergence(j=j, k=k, value=value, t_star=t_star))
     best = min(pairs, key=lambda p: p.value)
     return DivergenceReport(pairs=tuple(pairs), value=best.value,
                             argmin=(best.j, best.k))
@@ -214,37 +202,27 @@ def minimax_kl_pair(j: int, k: int, tensors: ProbabilityTensors, alpha, n: int) 
 # Regime classification and model assumptions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RegimeVerdict:
-    value: float
-    label: str  # "impossible" | "critical" | "achievable"
-
-
-def classify_regime(value: float) -> RegimeVerdict:
-    """Place a divergence value relative to the unit threshold; values within
-    ``CRITICAL_BAND`` of 1 are critical."""
+def classify_regime(value: float) -> str:
+    """Place a divergence value relative to the unit threshold: "impossible",
+    "critical" or "achievable"; values within ``CRITICAL_BAND`` of 1 are
+    critical."""
     if value > 1.0 + CRITICAL_BAND:
-        label = "achievable"
-    elif value < 1.0 - CRITICAL_BAND:
-        label = "impossible"
-    else:
-        label = "critical"
-    return RegimeVerdict(value=float(value), label=label)
+        return "achievable"
+    if value < 1.0 - CRITICAL_BAND:
+        return "impossible"
+    return "critical"
 
 
-def center_separation_table(tensors: ProbabilityTensors, alpha, n: int,
-                            eps: float = 0.1) -> np.ndarray:
+def center_separation_table(tensors: ProbabilityTensors, alpha, n: int) -> np.ndarray:
     """For each community pair, whether some third community distinguishes
     their expected adjacency rows at the model's degree scale.
 
     Entry (j, k) is True when there exists l with
     (n / rho) * | sum over orders and (m-2)-types of
-    capacity * (Q[j+l+w] - Q[k+l+w]) | >= eps,
+    capacity * (Q[j+l+w] - Q[k+l+w]) | >= SEPARATION_EPS,
     where rho is the maximum expected degree.  Spectral initialization
     needs this separation; the refinement stages do not.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     alpha = validate_prior(alpha)
     num_communities = tensors.k
     rho = max_expected_degree(tensors, alpha, n)
@@ -265,7 +243,7 @@ def center_separation_table(tensors: ProbabilityTensors, alpha, n: int,
                 for caps, q in layers:
                     acc += float(caps @ (q[j, l] - q[k, l]))
                 best = max(best, abs(acc) * n / rho)
-            table[j, k] = table[k, j] = best >= eps
+            table[j, k] = table[k, j] = best >= SEPARATION_EPS
     return table
 
 

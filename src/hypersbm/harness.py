@@ -18,6 +18,7 @@ from .divergence import chernoff_hellinger, classify_regime
 from .errors import ConvergenceError
 from .model import (
     ProbabilityTensors,
+    check_coefficients,
     sample_hypergraph,
     sample_membership,
     two_level_coefficients,
@@ -53,15 +54,16 @@ class LayerSpec:
             raise ValueError(f"layer order={self.order}: need both within and cross")
 
     def coefficients(self, k: int) -> np.ndarray:
-        if self.values is not None:
+        if self.values is None:
+            vals = two_level_coefficients(k, {self.order: self.within},
+                                          {self.order: self.cross})[self.order]
+        else:
             vals = np.asarray(self.values, dtype=float)
             expected = len(weak_compositions(self.order, k))
             if len(vals) != expected:
                 raise ValueError(
                     f"layer order={self.order}: expected {expected} values, got {len(vals)}")
-            return vals
-        return two_level_coefficients(k, {self.order: self.within},
-                                      {self.order: self.cross})[self.order]
+        return check_coefficients(self.order, vals)
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,7 @@ class GridPoint:
         if cached is None or cached[0] != alpha:
             try:
                 value = chernoff_hellinger(alpha, self.coefficients, self.n).value
-                outcome = (value, classify_regime(value).label, None)
+                outcome = (value, classify_regime(value), None)
             except CAPTURED_ERRORS as exc:
                 outcome = (None, None, _error_text(exc))
             cached = (alpha, outcome)

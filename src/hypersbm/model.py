@@ -42,6 +42,15 @@ def validate_prior(alpha) -> np.ndarray:
     return alpha
 
 
+def check_coefficients(m: int, vals) -> np.ndarray:
+    """Order m's unscaled coefficients as a float array, which must be
+    finite and nonnegative."""
+    vals = np.asarray(vals, dtype=float)
+    if not (np.isfinite(vals) & (vals >= 0)).all():
+        raise ValueError(f"order {m}: coefficients must be finite and nonnegative")
+    return vals
+
+
 @dataclass(frozen=True)
 class ProbabilityTensors:
     """Per-order edge probabilities collapsed by membership type.
@@ -59,7 +68,7 @@ class ProbabilityTensors:
             vals = np.asarray(vals, dtype=float)
             if vals.shape != (len(weak_compositions(m, self.k)),):
                 raise ValueError(f"order {m}: expected one value per composition")
-            if np.any(vals < 0) or np.any(vals > 1):
+            if not ((vals >= 0) & (vals <= 1)).all():
                 raise ValueError(f"order {m}: probabilities must lie in [0, 1]")
             converted[int(m)] = vals
         object.__setattr__(self, "q", converted)
@@ -74,10 +83,7 @@ class ProbabilityTensors:
             raise ValueError("need n >= 2 to scale coefficients")
         q = {}
         for m, vals in coefficients.items():
-            vals = np.asarray(vals, dtype=float)
-            if np.any(vals < 0):
-                raise ValueError(f"order {m}: coefficients must be nonnegative")
-            q[m] = vals * (math.log(n) / math.comb(n - 1, m - 1))
+            q[m] = check_coefficients(m, vals) * (math.log(n) / math.comb(n - 1, m - 1))
         return cls(k=k, q=q)
 
     @property
@@ -159,18 +165,24 @@ class Hypergraph:
             _check_layer(self.n, m, e)
 
 
+def _check_shape(m: int, e: np.ndarray) -> None:
+    """Raise ValueError unless m is an edge order and ``e``, if not empty,
+    has one row of m ids per edge."""
+    if m < 2:
+        raise ValueError(f"edge order must be >= 2, got {m}")
+    if e.size and (e.ndim != 2 or e.shape[1] != m):
+        raise ValueError(f"order {m}: edge array must have {m} columns")
+
+
 def _check_layer(n: int, m: int, e, ordered: bool = False) -> None:
     """Raise ValueError unless ``e`` is a valid order-m edge array on n
     vertices (see ``Hypergraph``).  Only the ids' range is checked when the
     rows are known to be ``ordered``: strictly increasing and in strictly
     increasing lexicographic order."""
-    if m < 2:
-        raise ValueError(f"edge order must be >= 2, got {m}")
     e = np.asarray(e)
+    _check_shape(m, e)
     if e.size == 0:
         return
-    if e.ndim != 2 or e.shape[1] != m:
-        raise ValueError(f"order {m}: edge array must have {m} columns")
     if e.min() < 0 or e.max() >= n:
         raise ValueError(f"order {m}: vertex id out of range")
     if ordered:
@@ -233,8 +245,13 @@ def _canonical_edge_array(rows: np.ndarray, m: int) -> np.ndarray:
 
 def make_hypergraph(n: int, edges: dict) -> Hypergraph:
     """Build a validated hypergraph from per-order edge lists (any row order)."""
-    canon = {int(m): _canonical_edge_array(np.asarray(e).reshape(-1, m), int(m))
-             for m, e in edges.items()}
+    canon = {}
+    for m, e in edges.items():
+        m, e = int(m), np.asarray(e)
+        _check_shape(m, e)
+        if e.size and not np.issubdtype(e.dtype, np.integer):
+            raise ValueError(f"order {m}: vertex ids must be integers, got {e.dtype}")
+        canon[m] = _canonical_edge_array(e.reshape(-1, m), m)
     h = Hypergraph(n=int(n), edges=canon)
     h.validate()
     return h

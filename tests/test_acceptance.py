@@ -92,7 +92,7 @@ def test_criterion_03_optimizer_matches_grid_oracle():
             total += (tcol * cj + (1 - tcol) * ck
                       - cj[None, :] ** tcol * ck[None, :] ** (1 - tcol)) @ wts
         i = int(np.argmax(total))
-        pair = hs.chernoff_hellinger_pair(0, 1, alpha, coeffs, n)
+        pair = hs.chernoff_hellinger(alpha, coeffs, n).pairs[0]
         worst_val = max(worst_val, abs(pair.value - total[i]))
         worst_t = max(worst_t, abs(pair.t_star - ts[i]))
     elapsed = time.perf_counter() - start

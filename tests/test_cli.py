@@ -144,6 +144,11 @@ def test_usage_errors_are_one_line_and_exit_two(config_path, tmp_path, capsys):
 @pytest.mark.parametrize("extra, message", [
     ("layer order=2 within=9 cross=1\n", "layer order=2 is declared twice"),
     ("sweep order=3 field=within values=1,2,3\n", "sweep order=3 names no declared layer"),
+    ("layer order=3 within=nan cross=1\n", "order 3: coefficients must be finite and nonnegative"),
+    ("layer order=3 within=inf cross=1\n", "order 3: coefficients must be finite and nonnegative"),
+    ("layer order=3 within=-3 cross=1\n", "order 3: coefficients must be finite and nonnegative"),
+    ("sweep order=2 field=cross values=1,nan\n",
+     "order 2: coefficients must be finite and nonnegative"),
 ])
 def test_layer_config_errors_are_one_line_and_exit_two(tmp_path, capsys, extra, message):
     path = tmp_path / "bad.cfg"

@@ -918,6 +918,25 @@ def test_hypergraph_validation_rejects_bad_edges():
         Hypergraph(3, {2: np.array([[1, 2], [0, 1]])}).validate()
 
 
+@pytest.mark.parametrize("edges, message", [
+    ({2: [[0.5, 1.7]]}, "order 2: vertex ids must be integers, got float64"),
+    ({2: np.array([[True, False]])}, "order 2: vertex ids must be integers, got bool"),
+    ({2: [[0, 1, 2]]}, "order 2: edge array must have 2 columns"),
+    ({2: [0, 1]}, "order 2: edge array must have 2 columns"),
+    ({0: []}, "edge order must be >= 2, got 0"),
+])
+def test_make_hypergraph_rejects_malformed_edge_arrays(edges, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_hypergraph(3, edges)
+
+
+def test_make_hypergraph_accepts_empty_float_arrays():
+    h = make_hypergraph(3, {2: [[1, 0]], 3: np.empty((0, 3)), 4: []})
+    assert h.edges[2].tolist() == [[0, 1]]
+    assert h.edges[3].shape == (0, 3) and h.edges[4].shape == (0, 4)
+    assert h.edges[3].dtype == h.edges[4].dtype == np.int64
+
+
 # ---------------------------------------------------------------------------
 # File readers against the line-by-line oracles
 # ---------------------------------------------------------------------------
