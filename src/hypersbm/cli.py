@@ -161,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate-k", help="estimate the number of communities")
     p.add_argument("--input", required=True)
     p.add_argument("--num-eigenvalues", type=int, metavar="N",
-                   help="eigenvalues to compute (default: ceil(log n) + 5)")
+                   help="eigenvalues to compute in one solve (default: 6, doubled "
+                        "up to ceil(log n) + 5 until the count is decided)")
     p.set_defaults(func=_cmd_estimate_k)
 
     p = sub.add_parser("phase", help="Monte Carlo sweep to CSV")

@@ -167,11 +167,13 @@ class Hypergraph:
 
 def _check_shape(m: int, e: np.ndarray) -> None:
     """Raise ValueError unless m is an edge order and ``e``, if not empty,
-    has one row of m ids per edge."""
+    has one row of m integer ids per edge."""
     if m < 2:
         raise ValueError(f"edge order must be >= 2, got {m}")
     if e.size and (e.ndim != 2 or e.shape[1] != m):
         raise ValueError(f"order {m}: edge array must have {m} columns")
+    if e.size and not np.issubdtype(e.dtype, np.integer):
+        raise ValueError(f"order {m}: vertex ids must be integers, got {e.dtype}")
 
 
 def _check_layer(n: int, m: int, e, ordered: bool = False) -> None:
@@ -249,8 +251,6 @@ def make_hypergraph(n: int, edges: dict) -> Hypergraph:
     for m, e in edges.items():
         m, e = int(m), np.asarray(e)
         _check_shape(m, e)
-        if e.size and not np.issubdtype(e.dtype, np.integer):
-            raise ValueError(f"order {m}: vertex ids must be integers, got {e.dtype}")
         canon[m] = _canonical_edge_array(e.reshape(-1, m), m)
     h = Hypergraph(n=int(n), edges=canon)
     h.validate()
@@ -615,8 +615,10 @@ def write_hypergraph(h: Hypergraph, path) -> None:
     """Write the text format: header ``n=<n> orders=<m1,m2,...>`` then one
     edge per line as ``<m> v1 ... vm`` with 1-based, increasing ids.
 
-    Time and memory are O(edges), whatever n is.  An id outside 0..n-1 is a
-    ValueError, raised before the file is opened."""
+    Time and memory are O(edges), whatever n is.  An id that is not an
+    integer in 0..n-1 is a ValueError, raised before the file is opened."""
+    for m in h.orders:
+        _check_shape(m, np.asarray(h.edges[m]))
     edges = {m: np.asarray(h.edges[m], dtype=np.int64).reshape(-1, m) for m in h.orders}
     for m, e in edges.items():
         _check_writable(e, f"order {m}: vertex ids", min(h.n - 1, 2**63 - 2))

@@ -225,6 +225,9 @@ def partition_with_prior(h: Hypergraph, k: int, tensors: ProbabilityTensors,
 # stops once every Ritz value theta has a residual of norm at most this times
 # |theta|, so some eigenvalue lies that close to theta.
 COUNT_TOL = 0.1
+# Eigenpairs of the first solve in k estimation, doubled until the count is
+# decided: 6 settles k <= 4 in one solve.
+COUNT_START = 6
 
 
 @dataclass(frozen=True)
@@ -233,12 +236,14 @@ class CommunityCountEstimate:
 
     ``k_hat`` counts the adjacency eigenvalues above max_degree^(3/4).
     ``eigenvalues`` holds the computed top of the spectrum, descending, and
-    each value is a lower bound on the eigenvalue of its rank.  Only the
-    first ``k_hat + 1`` values decide ``k_hat``; the outliers
-    ``eigenvalues[:k_hat]`` converge first and are accurate, while deeper
-    bulk values may come from a loose solve and sit well below the true
-    eigenvalues (see ``estimate_num_communities``).  The threshold is kept
-    so borderline gaps can be audited.
+    each value is a lower bound on the eigenvalue of its rank.  By default
+    that is at least ``k_hat + 2`` values, unless the cap of ceil(log n) + 5
+    is reached, in which case it can be fewer (see
+    ``estimate_num_communities``).  Only the first ``k_hat + 1`` values
+    decide ``k_hat``; the outliers ``eigenvalues[:k_hat]`` converge first
+    and are accurate, while deeper bulk values may come from a loose solve
+    and sit well below the true eigenvalues.  The threshold is kept so
+    borderline gaps can be audited.
     """
 
     k_hat: int
@@ -257,8 +262,11 @@ def estimate_num_communities(h: Hypergraph, num_eigenvalues: int = None) -> Comm
     """Count communities as the eigenvalues of the adjacency matrix larger
     than the 3/4 power of the maximum degree.
 
-    By default only the top ceil(log n) + 5 eigenvalues are computed; pass
-    ``num_eigenvalues`` to widen the search (n of them is the full
+    By default at most the top ceil(log n) + 5 eigenvalues are computed:
+    first the top ``COUNT_START`` of them, doubled, up to that cap, until
+    some computed value lies at or below the threshold with at least
+    ``k_hat + 2`` values computed.  Pass ``num_eigenvalues`` to compute
+    exactly that many in one solve instead (n of them is the full
     spectrum).  If every computed eigenvalue clears the threshold the count
     returned is the number computed (a lower bound).
 
@@ -266,16 +274,16 @@ def estimate_num_communities(h: Hypergraph, num_eigenvalues: int = None) -> Comm
     eigensolver does not resolve reliably: the eigenpairs are solved on the
     adjacency of the other vertices, and those zeros merged in.
 
-    The eigenpairs are first solved to a relative residual of ``COUNT_TOL``.
-    Each Ritz value is a lower bound on the eigenvalue of its rank, so a
-    value above the threshold certifies an eigenvalue above it, and some
+    Each solve first runs to a relative residual of ``COUNT_TOL``.  Each
+    Ritz value is a lower bound on the eigenvalue of its rank, so a value
+    above the threshold certifies an eigenvalue above it, and some
     eigenvalue lies within the residual of every value.  That loose solve
-    decides the count when every value is more than ``COUNT_TOL`` times its
-    own size away from the threshold; otherwise the eigenpairs are solved
-    again at the eigensolver's default tolerance of 1e-8, and that spectrum
-    is returned.  Either way the outliers above the threshold converge first
-    and come out accurate in practice; after a loose solve the bulk values
-    past ``k_hat + 1`` are only lower bounds, possibly tens of percent low.
+    stands when every value is more than ``COUNT_TOL`` times its own size
+    away from the threshold; otherwise the same eigenpairs are solved again
+    at the eigensolver's default tolerance of 1e-8, and that spectrum
+    stands.  Either way the outliers above the threshold converge first and
+    come out accurate in practice; after a loose solve the bulk values past
+    ``k_hat + 1`` are only lower bounds, possibly tens of percent low.
     """
     degrees = h.degrees()
     d_tilde = int(degrees.max())
@@ -283,21 +291,26 @@ def estimate_num_communities(h: Hypergraph, num_eigenvalues: int = None) -> Comm
         raise DegenerateDegreeError("empty hypergraph: maximum degree is zero")
     threshold = d_tilde ** 0.75
     if num_eigenvalues is None:
-        num = min(h.n, math.ceil(math.log(h.n)) + 5)
+        cap = min(h.n, math.ceil(math.log(h.n)) + 5)
+        num = min(cap, COUNT_START)
     elif num_eigenvalues < 1:
         raise ValueError(f"need at least one eigenvalue, got {num_eigenvalues}")
     else:
-        num = min(h.n, num_eigenvalues)
+        cap = num = min(h.n, num_eigenvalues)
     live = degrees > 0
     isolated = h.n - int(live.sum())
     a = live_adjacency(h, live) if isolated else adjacency_matrix(h)
-    solve = min(num, h.n - isolated)
-    vals = rank_k_approx(a, solve, tol=COUNT_TOL).values
-    if np.any(np.abs(vals - threshold) <= COUNT_TOL * np.abs(vals)):
-        vals = rank_k_approx(a, solve).values
-    if isolated:
-        zeros = np.zeros(min(num, isolated))
-        vals = np.sort(np.concatenate((vals, zeros)))[::-1][:num]
-    below = np.flatnonzero(vals <= threshold)
-    k_hat = int(below[0]) if len(below) else len(vals)
+    while True:
+        solve = min(num, h.n - isolated)
+        vals = rank_k_approx(a, solve, tol=COUNT_TOL).values
+        if np.any(np.abs(vals - threshold) <= COUNT_TOL * np.abs(vals)):
+            vals = rank_k_approx(a, solve).values
+        if isolated:
+            zeros = np.zeros(min(num, isolated))
+            vals = np.sort(np.concatenate((vals, zeros)))[::-1][:num]
+        below = np.flatnonzero(vals <= threshold)
+        k_hat = int(below[0]) if len(below) else len(vals)
+        if num == cap or (len(below) and num >= k_hat + 2):
+            break
+        num = min(cap, 2 * num)
     return CommunityCountEstimate(k_hat=k_hat, eigenvalues=vals, threshold=threshold)

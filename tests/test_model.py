@@ -930,6 +930,19 @@ def test_make_hypergraph_rejects_malformed_edge_arrays(edges, message):
         make_hypergraph(3, edges)
 
 
+@pytest.mark.parametrize("ids", [np.array([[0.5, 1.7]]), np.array([[0.0, 1.0]]),
+                                 np.array([[True, False]])])
+def test_validate_and_write_reject_non_integer_ids(tmp_path, ids):
+    h = Hypergraph(3, {2: ids})
+    message = f"order 2: vertex ids must be integers, got {ids.dtype}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        h.validate()
+    path = tmp_path / "h.txt"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        hs.write_hypergraph(h, path)
+    assert not path.exists()
+
+
 def test_make_hypergraph_accepts_empty_float_arrays():
     h = make_hypergraph(3, {2: [[1, 0]], 3: np.empty((0, 3)), 4: []})
     assert h.edges[2].tolist() == [[0, 1]]

@@ -324,6 +324,55 @@ def test_count_falls_back_to_tight_solve_near_threshold(monkeypatch):
     assert np.allclose(est.eigenvalues[:2], [80.0, 26.0])
 
 
+def spy_on_solves(monkeypatch):
+    """Record (pairs, keyword arguments) of each eigensolve k estimation asks for."""
+    calls = []
+
+    def spy(a, k, **kwargs):
+        calls.append((k, kwargs))
+        return hs.rank_k_approx(a, k, **kwargs)
+
+    monkeypatch.setattr(pipeline, "rank_k_approx", spy)
+    return calls
+
+
+def planted_count_instance(n, k, within=(12.0, 14.0)):
+    coeffs = hs.two_level_coefficients(k, {2: within[0], 3: within[1]}, {2: 1.0, 3: 1.5})
+    T = hs.ProbabilityTensors.from_unscaled(k, coeffs, n)
+    z = hs.sample_membership(n, [1.0 / k] * k, seed=[k, 11])
+    return hs.sample_hypergraph(n, z, T, seed=[k, 12])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_count_settles_small_k_in_one_loose_solve(monkeypatch, k):
+    h = planted_count_instance(1000, k)
+    calls = spy_on_solves(monkeypatch)
+    est = hs.estimate_num_communities(h)
+    assert calls == [(6, {"tol": pipeline.COUNT_TOL})]
+    assert est.k_hat == k and len(est.eigenvalues) == 6
+
+
+def test_count_doubles_the_solve_until_the_count_is_decided(monkeypatch):
+    # six outliers clear the threshold, so six pairs cannot show the
+    # seventh value below it
+    h = planted_count_instance(1000, 6, within=(30.0, 32.0))
+    calls = spy_on_solves(monkeypatch)
+    est = hs.estimate_num_communities(h)
+    assert calls == [(6, {"tol": pipeline.COUNT_TOL}), (12, {"tol": pipeline.COUNT_TOL})]
+    assert est.k_hat == 6 and len(est.eigenvalues) == 12
+
+
+@pytest.mark.parametrize("num", [3, 11, 40])
+def test_count_with_explicit_num_is_one_solve(monkeypatch, num):
+    h = planted_count_instance(1000, 2)
+    want = hs.rank_k_approx(adjacency_matrix(h), num, tol=pipeline.COUNT_TOL).values
+    calls = spy_on_solves(monkeypatch)
+    est = hs.estimate_num_communities(h, num_eigenvalues=num)
+    assert calls == [(num, {"tol": pipeline.COUNT_TOL})]
+    assert np.array_equal(est.eigenvalues, want)
+    assert est.k_hat == 2
+
+
 @pytest.mark.parametrize("num", [None, 2, 11, 150, 300])
 def test_count_includes_zero_eigenvalues_of_isolated_vertices(num):
     # K_81 plus K_27 padded to n = 300: the spectrum is 80, 26, -1 (106
@@ -334,7 +383,7 @@ def test_count_includes_zero_eigenvalues_of_isolated_vertices(num):
     est = hs.estimate_num_communities(h, num_eigenvalues=num)
     spectrum = np.linalg.eigvalsh(adjacency_matrix(h).toarray())[::-1]
     want = spectrum[:len(est.eigenvalues)]
-    assert len(est.eigenvalues) == (11 if num is None else num)
+    assert len(est.eigenvalues) == (6 if num is None else num)
     assert np.allclose(est.eigenvalues, want, rtol=0, atol=1e-8)
     assert est.k_hat == 1
 
