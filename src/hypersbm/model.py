@@ -617,9 +617,11 @@ def write_hypergraph(h: Hypergraph, path) -> None:
 
     Time and memory are O(edges), whatever n is.  An id that is not an
     integer in 0..n-1 is a ValueError, raised before the file is opened."""
+    edges = {}
     for m in h.orders:
-        _check_shape(m, np.asarray(h.edges[m]))
-    edges = {m: np.asarray(h.edges[m], dtype=np.int64).reshape(-1, m) for m in h.orders}
+        e = np.asarray(h.edges[m])
+        _check_shape(m, e)
+        edges[m] = e.astype(np.int64, copy=False).reshape(-1, m)
     for m, e in edges.items():
         _check_writable(e, f"order {m}: vertex ids", min(h.n - 1, 2**63 - 2))
     with open(path, "wb") as fh:

@@ -324,6 +324,9 @@ def test_count_falls_back_to_tight_solve_near_threshold(monkeypatch):
     assert np.allclose(est.eigenvalues[:2], [80.0, 26.0])
 
 
+LOOSE, TIGHT = {"tol": pipeline.COUNT_TOL}, {}
+
+
 def spy_on_solves(monkeypatch):
     """Record (pairs, keyword arguments) of each eigensolve k estimation asks for."""
     calls = []
@@ -348,18 +351,48 @@ def test_count_settles_small_k_in_one_loose_solve(monkeypatch, k):
     h = planted_count_instance(1000, k)
     calls = spy_on_solves(monkeypatch)
     est = hs.estimate_num_communities(h)
-    assert calls == [(6, {"tol": pipeline.COUNT_TOL})]
+    assert calls == [(6, LOOSE)]
     assert est.k_hat == k and len(est.eigenvalues) == 6
 
 
-def test_count_doubles_the_solve_until_the_count_is_decided(monkeypatch):
+@pytest.mark.parametrize("n, k, within, solves", [
     # six outliers clear the threshold, so six pairs cannot show the
-    # seventh value below it
-    h = planted_count_instance(1000, 6, within=(30.0, 32.0))
+    # seventh value below it; the cap is 12 at n = 1000 and 14 at n = 3000,
+    # where the second solve stops on the count, not on the cap
+    (1000, 6, (30.0, 32.0), [(6, LOOSE), (12, LOOSE)]),
+    (3000, 6, (30.0, 32.0), [(6, LOOSE), (12, LOOSE)]),
+    # five outliers close to the bulk: six pairs show the sixth value below
+    # the threshold, but a 6-pair loose solve leaves the outliers 0.8% low
+    (3000, 5, (12.0, 14.0), [(6, LOOSE), (12, LOOSE)]),
+    # a 6-pair value lies within 10% of the threshold, but that loose solve
+    # already certifies five values above it, so only the 12 pairs are
+    # redone tight
+    (1000, 5, (12.0, 14.0), [(6, LOOSE), (12, LOOSE), (12, TIGHT)]),
+], ids=["k6-n1000", "k6-n3000", "k5-n3000", "k5-n1000-near"])
+def test_count_doubles_the_solve_until_the_count_is_decided(monkeypatch, n, k, within, solves):
+    h = planted_count_instance(n, k, within=within)
+    tight = count_communities_tight(h)
     calls = spy_on_solves(monkeypatch)
     est = hs.estimate_num_communities(h)
-    assert calls == [(6, {"tol": pipeline.COUNT_TOL}), (12, {"tol": pipeline.COUNT_TOL})]
-    assert est.k_hat == 6 and len(est.eigenvalues) == 12
+    assert calls == solves
+    assert est.k_hat == tight.k_hat == k and len(est.eigenvalues) == 12
+    assert np.allclose(est.eigenvalues[:k], tight.eigenvalues[:k], rtol=1e-9, atol=0)
+
+
+def test_count_stops_at_the_cap_when_every_value_clears_the_threshold(monkeypatch):
+    # twelve cliques K_14 ... K_25 padded to n = 300: the cap is 11, the
+    # threshold 24^(3/4) ~ 10.8 and the top eigenvalues 24, 23, ..., 13
+    cliques = []
+    base = 0
+    for size in range(14, 26):
+        cliques += [[base + i, base + j] for i in range(size) for j in range(i + 1, size)]
+        base += size
+    h = make_hypergraph(300, {2: cliques})
+    calls = spy_on_solves(monkeypatch)
+    est = hs.estimate_num_communities(h)
+    assert calls == [(6, LOOSE), (11, LOOSE)]
+    assert est.k_hat == len(est.eigenvalues) == 11
+    assert np.allclose(est.eigenvalues, np.arange(24.0, 13.0, -1.0))
 
 
 @pytest.mark.parametrize("num", [3, 11, 40])
@@ -368,7 +401,7 @@ def test_count_with_explicit_num_is_one_solve(monkeypatch, num):
     want = hs.rank_k_approx(adjacency_matrix(h), num, tol=pipeline.COUNT_TOL).values
     calls = spy_on_solves(monkeypatch)
     est = hs.estimate_num_communities(h, num_eigenvalues=num)
-    assert calls == [(num, {"tol": pipeline.COUNT_TOL})]
+    assert calls == [(num, LOOSE)]
     assert np.array_equal(est.eigenvalues, want)
     assert est.k_hat == 2
 
