@@ -51,17 +51,3 @@ print("\nthree symmetric communities:")
 for p in rep.pairs:
     print(f"  pair {p.j}-{p.k}: {p.value:.4f}")
 print(f"  minimum {rep.value:.4f} at pair {rep.argmin}")
-
-# the KL form of the separation scales like divergence * log(n) when sparse
-n = 10**4
-T = hs.ProbabilityTensors.from_unscaled(2, coeffs, n)
-gkl = hs.minimax_kl_pair(0, 1, T, alpha, n)
-gch = hs.chernoff_hellinger(alpha, coeffs, n).value
-print(f"\nKL separation {gkl:.2f} vs divergence * log n {gch * math.log(n):.2f}")
-
-# model assumption checks used by the initialization stage
-T500 = hs.ProbabilityTensors.from_unscaled(2, coeffs, 500)
-print("\nexpected-center separation table:")
-print(hs.center_separation_table(T500, alpha, 500))
-print(f"within-order probability ratio bound: "
-      f"{hs.probability_ratio_bound(T500):.1f}")

@@ -13,12 +13,8 @@ from .compositions import (
 from .divergence import (
     DivergenceReport,
     PairDivergence,
-    center_separation_table,
     chernoff_hellinger,
     classify_regime,
-    kl_bernoulli,
-    minimax_kl_pair,
-    probability_ratio_bound,
 )
 from .errors import ConvergenceError, DegenerateDegreeError, InsufficientSampleError
 from .harness import (

@@ -46,6 +46,8 @@ class LayerSpec:
     values: tuple = None
 
     def __post_init__(self):
+        if self.order < 2:
+            raise ValueError(f"layer order={self.order}: edge order must be >= 2")
         explicit = self.values is not None
         shorthand = self.within is not None or self.cross is not None
         if explicit and shorthand:
@@ -139,13 +141,24 @@ class GridPoint:
         return cached[1]
 
 
-def _parse_kv_tokens(tokens, required):
+# The keys of a plain ``key = value`` config line.
+SCALAR_KEYS = ("n", "k", "alpha", "mode", "trials", "seed", "out")
+
+
+def _known_key(key: str, allowed) -> str:
+    key = key.strip()
+    if key not in allowed:
+        raise ValueError(f"unknown config key {key!r}")
+    return key
+
+
+def _parse_kv_tokens(tokens, required, optional=()):
     out = {}
     for tok in tokens:
         if "=" not in tok:
             raise ValueError(f"expected key=value, got {tok!r}")
         key, val = tok.split("=", 1)
-        out[key.strip()] = val.strip()
+        out[_known_key(key, required + optional)] = val.strip()
     missing = [key for key in required if key not in out]
     if missing:
         raise ValueError(f"{' '.join(tokens)!r} lacks {', '.join(missing)}")
@@ -162,6 +175,7 @@ def parse_config(text: str) -> ExperimentConfig:
     order declared twice is an error.  An optional ``sweep`` line varies one
     field of a declared layer over a list:
     ``sweep order=2 field=within values=2,4,6``.  ``#`` starts a comment.
+    A key or field outside these is an error.
     """
     scalars = {}
     layers = []
@@ -171,15 +185,13 @@ def parse_config(text: str) -> ExperimentConfig:
         if not line:
             continue
         if line.startswith("layer"):
-            kv = _parse_kv_tokens(line.split()[1:], ("order",))
+            kv = _parse_kv_tokens(line.split()[1:], ("order",), ("within", "cross", "values"))
             spec = LayerSpec(
-                order=int(kv.pop("order")),
-                within=float(kv.pop("within")) if "within" in kv else None,
-                cross=float(kv.pop("cross")) if "cross" in kv else None,
-                values=tuple(float(t) for t in kv.pop("values").split(",")) if "values" in kv else None,
+                order=int(kv["order"]),
+                within=float(kv["within"]) if "within" in kv else None,
+                cross=float(kv["cross"]) if "cross" in kv else None,
+                values=tuple(float(t) for t in kv["values"].split(",")) if "values" in kv else None,
             )
-            if kv:
-                raise ValueError(f"unknown layer fields {sorted(kv)}")
             if any(l.order == spec.order for l in layers):
                 raise ValueError(f"layer order={spec.order} is declared twice")
             layers.append(spec)
@@ -196,7 +208,7 @@ def parse_config(text: str) -> ExperimentConfig:
             if "=" not in line:
                 raise ValueError(f"cannot parse line {raw!r}")
             key, val = line.split("=", 1)
-            scalars[key.strip()] = val.strip()
+            scalars[_known_key(key, SCALAR_KEYS)] = val.strip()
 
     if "n" not in scalars:
         raise ValueError("config lacks the required key n")

@@ -38,7 +38,7 @@ def validate_prior(alpha) -> np.ndarray:
     if np.any(alpha <= 0):
         raise ValueError("prior entries must be strictly positive")
     if abs(alpha.sum() - 1.0) > 1e-12:
-        raise ValueError(f"prior must sum to 1, got {alpha.sum()!r}")
+        raise ValueError(f"prior must sum to 1, got {float(alpha.sum())}")
     return alpha
 
 
@@ -77,13 +77,16 @@ class ProbabilityTensors:
     def from_unscaled(cls, k: int, coefficients: dict, n: int) -> "ProbabilityTensors":
         """Build probabilities q = coeff * log(n) / C(n-1, m-1) per order.
 
-        Raises if any scaled value leaves [0, 1].
+        Raises if n is smaller than an order or any scaled value leaves [0, 1].
         """
         if n < 2:
             raise ValueError("need n >= 2 to scale coefficients")
         q = {}
         for m, vals in coefficients.items():
-            q[m] = check_coefficients(m, vals) * (math.log(n) / math.comb(n - 1, m - 1))
+            pool = math.comb(n - 1, m - 1)
+            if pool == 0:
+                raise ValueError(f"need n >= {m} for order {m}")
+            q[m] = check_coefficients(m, vals) * (math.log(n) / pool)
         return cls(k=k, q=q)
 
     @property

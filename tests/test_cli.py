@@ -149,6 +149,9 @@ def test_usage_errors_are_one_line_and_exit_two(config_path, tmp_path, capsys):
     ("layer order=3 within=-3 cross=1\n", "order 3: coefficients must be finite and nonnegative"),
     ("sweep order=2 field=cross values=1,nan\n",
      "order 2: coefficients must be finite and nonnegative"),
+    ("layer order=1 within=12 cross=2\n", "layer order=1: edge order must be >= 2"),
+    ("trails = 20\n", "unknown config key 'trails'"),
+    ("alpha = 0.5\n", "prior must sum to 1, got 0.5"),
 ])
 def test_layer_config_errors_are_one_line_and_exit_two(tmp_path, capsys, extra, message):
     path = tmp_path / "bad.cfg"
@@ -174,6 +177,37 @@ def test_phase_exits_one_when_trials_fail(tmp_path, capsys):
         assert line.startswith(f"hypersbm: trial point=0 seed={seed}: "
                                "DegenerateDegreeError: mean degree ")
     assert len(hs.parse_csv(out)) == 3
+
+
+def test_readme_config_block_parses_and_runs_threshold(tmp_path, capsys):
+    # the documented format and the parser must not drift apart
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("### Config format", 1)[1].split("```\n", 2)[1]
+    cfg = hs.parse_config(block)
+    assert cfg.n_values == (500,) and cfg.trials == 20 and cfg.out == "trials.csv"
+    assert [layer.order for layer in cfg.layers] == [2, 3] and cfg.sweep.order == 2
+    path = tmp_path / "readme.cfg"
+    path.write_text(block)
+    assert main(["threshold", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.count("  global: ") == len(cfg.sweep.values)
+
+
+def test_phase_records_n_below_an_order_without_a_traceback(tmp_path):
+    # n = 2 is below the triple layer's order: each trial records the error
+    path = tmp_path / "tiny.cfg"
+    path.write_text(CONFIG.replace("n = 60", "n = 2")
+                    .replace("layer order=2", "layer order=3"))
+    out = str(tmp_path / "sweep.csv")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "hypersbm.cli", "phase", "--config",
+                           str(path), "--out", out], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines() == [
+        f"hypersbm: trial point=0 seed={seed}: ValueError: need n >= 3 for order 3"
+        for seed in (11, 12)]
+    assert len(hs.parse_csv(out)) == 2
 
 
 def test_bad_input_is_one_line_and_exit_two(tmp_path, capsys):

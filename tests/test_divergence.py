@@ -1,4 +1,4 @@
-"""Divergences, the recovery threshold, and model assumption checks."""
+"""Pairwise divergences, the recovery threshold and its regime verdict."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import hypersbm as hs
-from hypersbm import divergence
 from hypersbm.divergence import _layers, _tilting, maximize_concave
 
 ALPHA2 = (0.5, 0.5)
@@ -31,31 +30,6 @@ def grid_max(objective, points=20001):
     vals = np.array([objective(t) for t in ts])
     i = int(np.argmax(vals))
     return ts[i], vals[i]
-
-
-# ---------------------------------------------------------------------------
-# Bernoulli KL
-# ---------------------------------------------------------------------------
-
-def test_kl_zero_at_equal_means():
-    assert hs.kl_bernoulli(0.3, 0.3) == 0.0
-
-
-def test_kl_zero_mean_limit():
-    q = 0.2
-    assert np.isclose(hs.kl_bernoulli(0.0, q), -math.log(1 - q))
-
-
-def test_kl_frozen_value():
-    # 0.5 log 2 + 0.5 log(2/3), evaluated independently of the implementation
-    assert np.isclose(hs.kl_bernoulli(0.5, 0.25), 0.14384103622589045, atol=1e-12)
-
-
-def test_kl_rejects_degenerate_reference():
-    with pytest.raises(ValueError):
-        hs.kl_bernoulli(0.5, 0.0)
-    with pytest.raises(ValueError):
-        hs.kl_bernoulli(0.5, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -244,62 +218,7 @@ def test_threshold_bits_are_pinned(k, weights):
 
 
 # ---------------------------------------------------------------------------
-# KL form
-# ---------------------------------------------------------------------------
-
-def test_minimax_kl_zero_when_identical():
-    T = hs.ProbabilityTensors(k=2, q={2: np.full(3, 0.01)})
-    assert hs.minimax_kl_pair(0, 1, T, ALPHA2, 100) == 0.0
-
-
-def test_minimax_kl_tracks_scaled_divergence_in_border_regime():
-    n = 10**4
-    coeffs = graph_coeffs(9, 1)
-    T = hs.ProbabilityTensors.from_unscaled(2, coeffs, n)
-    gkl = hs.minimax_kl_pair(0, 1, T, ALPHA2, n)
-    gch = hs.chernoff_hellinger(ALPHA2, coeffs, n).value
-    assert abs(gkl - gch * math.log(n)) <= 0.05 * gch * math.log(n)
-
-
-def test_minimax_kl_matches_numeric_oracle():
-    # independent oracle: per type, minimize the larger of the two KL
-    # divergences numerically (each is convex in the mean)
-    from scipy.optimize import minimize_scalar
-    from hypersbm.compositions import expected_capacity_vector, member_lift_table
-
-    rng = np.random.default_rng(21)
-    for _ in range(10):
-        k = int(rng.integers(2, 4))
-        alpha = rng.dirichlet(np.ones(k) * 4)
-        n = 200
-        q = {m: rng.uniform(0.01, 0.4, len(hs.weak_compositions(m, k)))
-             for m in (2, 3)}
-        T = hs.ProbabilityTensors(k=k, q=q)
-        expected = 0.0
-        for m in (2, 3):
-            caps = expected_capacity_vector(m - 1, k, alpha, n)
-            lift = member_lift_table(m, k)
-            for cap, qj, qk in zip(caps, q[m][lift[0]], q[m][lift[1]]):
-                res = minimize_scalar(
-                    lambda y: max(hs.kl_bernoulli(y, qj), hs.kl_bernoulli(y, qk)),
-                    bounds=(1e-12, 1 - 1e-12), method="bounded",
-                    options={"xatol": 1e-13})
-                expected += cap * res.fun
-        got = hs.minimax_kl_pair(0, 1, T, alpha, n)
-        assert np.isclose(got, expected, rtol=1e-7)
-
-
-def test_minimax_kl_monotone_in_separation():
-    # same mean rate, doubled gap: the separation cannot decrease
-    n = 2000
-    narrow = hs.ProbabilityTensors.from_unscaled(2, graph_coeffs(5, 3), n)
-    wide = hs.ProbabilityTensors.from_unscaled(2, graph_coeffs(6, 2), n)
-    assert (hs.minimax_kl_pair(0, 1, wide, ALPHA2, n)
-            >= hs.minimax_kl_pair(0, 1, narrow, ALPHA2, n))
-
-
-# ---------------------------------------------------------------------------
-# Regime classification and assumptions
+# Regime classification
 # ---------------------------------------------------------------------------
 
 def test_classify_regime():
@@ -310,69 +229,3 @@ def test_classify_regime():
     assert hs.classify_regime(1.002) == "achievable"
     assert hs.classify_regime(0.998) == "impossible"
 
-
-def test_separation_false_for_identical_rows():
-    T = hs.ProbabilityTensors(k=2, q={2: np.full(3, 0.05)})
-    table = hs.center_separation_table(T, ALPHA2, 200)
-    assert not table[0, 1]
-
-
-def test_separation_true_for_binary_asymmetric():
-    T = hs.ProbabilityTensors.from_unscaled(2, graph_coeffs(9, 1), 500)
-    assert hs.center_separation_table(T, ALPHA2, 500)[0, 1]
-
-
-def test_separation_holds_for_rank_deficient_mixture():
-    # mixed assortative/disassortative model whose third expected-adjacency
-    # row is the sum of the first two: rows still pairwise distinct
-    vals = {(2, 0, 0): 4, (1, 1, 0): 3, (1, 0, 1): 7,
-            (0, 2, 0): 5, (0, 1, 1): 8, (0, 0, 2): 15}
-    coeffs = {2: np.array([float(vals[w]) for w in hs.weak_compositions(2, 3)])}
-    n = 3000
-    T = hs.ProbabilityTensors.from_unscaled(3, coeffs, n)
-    table = hs.center_separation_table(T, (1 / 3,) * 3, n)
-    assert table.all()
-
-
-def test_separation_matches_direct_enumeration(monkeypatch):
-    # oracle: rebuild the inner sums with explicit composition arithmetic
-    from oracles import add_member, composition_index, expected_capacity
-    from hypersbm.model import max_expected_degree
-
-    rng = np.random.default_rng(17)
-    k, n = 3, 400
-    alpha = (0.5, 0.3, 0.2)
-    q = {m: rng.uniform(0.001, 0.05, len(hs.weak_compositions(m, k)))
-         for m in (2, 3)}
-    T = hs.ProbabilityTensors(k=k, q=q)
-    rho = max_expected_degree(T, alpha, n)
-    for eps in (0.05, 0.5, 5.0, 50.0):
-        monkeypatch.setattr(divergence, "SEPARATION_EPS", eps)
-        table = hs.center_separation_table(T, alpha, n)
-        for j in range(k):
-            for kk in range(j + 1, k):
-                best = 0.0
-                for l in range(k):
-                    acc = 0.0
-                    for m in (2, 3):
-                        index = composition_index(m, k)
-                        for w in hs.weak_compositions(m - 2, k):
-                            cap = expected_capacity(w, alpha, n)
-                            jj = index[add_member(add_member(w, l), j)]
-                            kz = index[add_member(add_member(w, l), kk)]
-                            acc += cap * (q[m][jj] - q[m][kz])
-                    best = max(best, abs(acc) * n / rho)
-                assert table[j, kk] == (best >= eps), (j, kk, eps, best)
-
-
-def test_probability_ratio_bound():
-    assert hs.probability_ratio_bound(
-        hs.ProbabilityTensors(k=2, q={2: np.full(3, 0.2)})) == 1.0
-    T = hs.ProbabilityTensors(k=2, q={2: np.array([0.2, 0.4, 0.8])})
-    assert np.isclose(hs.probability_ratio_bound(T), 4.0)
-    # ratios taken within each layer, then the max across layers
-    T2 = hs.ProbabilityTensors(k=2, q={2: np.array([0.2, 0.4, 0.8]),
-                                       3: np.array([0.1, 0.1, 0.1, 0.6])})
-    assert np.isclose(hs.probability_ratio_bound(T2), 6.0)
-    T3 = hs.ProbabilityTensors(k=2, q={2: np.array([0.0, 0.4, 0.8])})
-    assert hs.probability_ratio_bound(T3) == math.inf

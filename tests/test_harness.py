@@ -90,6 +90,23 @@ def test_parse_config_names_missing_keys():
         hs.parse_config("n = 50\nlayer order=2 within=3 cross=1\nsweep order=2\n")
 
 
+@pytest.mark.parametrize("order", [1, 0])
+def test_parse_config_rejects_an_order_below_two(order):
+    with pytest.raises(ValueError, match=rf"^layer order={order}: edge order must be >= 2$"):
+        hs.parse_config(f"n = 50\nlayer order={order} within=12 cross=2\n")
+
+
+@pytest.mark.parametrize("line, key", [
+    ("trails = 20", "trails"),
+    ("layer order=3 within=9 cross=1 crosss=2", "crosss"),
+    ("sweep order=2 field=within values=2,4 step=1", "step"),
+])
+def test_parse_config_rejects_unknown_keys(line, key):
+    # a misspelt key that was ignored would leave its default in force
+    with pytest.raises(ValueError, match=rf"^unknown config key '{key}'$"):
+        hs.parse_config(f"n = 50\nlayer order=2 within=4 cross=1\n{line}\n")
+
+
 def test_parse_config_rejects_a_repeated_layer():
     # the second line used to replace the first without a word
     with pytest.raises(ValueError, match=r"^layer order=2 is declared twice$"):

@@ -57,7 +57,8 @@ def random_instance(seed, n_max=12):
 # ---------------------------------------------------------------------------
 
 def test_validate_prior():
-    with pytest.raises(ValueError):
+    # the CLI prints this message as its one-line error: a plain float, not a numpy repr
+    with pytest.raises(ValueError, match=r"^prior must sum to 1, got 1\.1$"):
         hs.validate_prior([0.5, 0.6])
     with pytest.raises(ValueError):
         hs.validate_prior([1.0, 0.0])
@@ -198,6 +199,14 @@ def test_probability_validation():
     with pytest.raises(ValueError):
         # scaling pushes the probability above one
         hs.ProbabilityTensors.from_unscaled(1, {2: np.array([100.0])}, 20)
+
+
+def test_from_unscaled_needs_n_at_least_each_order():
+    # the scale divides by C(n-1, m-1), which is 0 below n = m
+    coeffs = hs.two_level_coefficients(2, {3: 0.5}, {3: 0.2})
+    with pytest.raises(ValueError, match=r"^need n >= 3 for order 3$"):
+        hs.ProbabilityTensors.from_unscaled(2, coeffs, 2)
+    assert hs.ProbabilityTensors.from_unscaled(2, coeffs, 3).orders == [3]
 
 
 def test_unranking_is_a_bijection():
