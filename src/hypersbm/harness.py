@@ -11,6 +11,7 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -76,9 +77,18 @@ class SweepSpec:
     sweep_field: str  # "within" or "cross"
     values: tuple
 
+    def __post_init__(self):
+        if self.sweep_field not in ("within", "cross"):
+            raise ValueError(f"cannot sweep field {self.sweep_field!r}")
+        if not self.values:
+            raise ValueError("empty sweep values")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A model family and its sweep grid.  A config built in code takes the
+    same checks, with the same messages, as one read from a file."""
+
     n_values: tuple
     k: int
     alpha: tuple
@@ -90,6 +100,8 @@ class ExperimentConfig:
     out: str = None
 
     def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"need k >= 1 communities, got k={self.k}")
         if not self.n_values:
             raise ValueError("empty n grid")
         if self.trials < 1:
@@ -101,8 +113,13 @@ class ExperimentConfig:
             raise ValueError("alpha length must equal k")
         if not self.layers:
             raise ValueError("need at least one layer")
-        for layer in self.layers:
+        orders = [layer.order for layer in self.layers]
+        for i, layer in enumerate(self.layers):
+            if layer.order in orders[:i]:
+                raise ValueError(f"layer order={layer.order} is declared twice")
             layer.coefficients(self.k)  # fail fast on malformed layers
+        if self.sweep is not None and self.sweep.order not in orders:
+            raise ValueError(f"sweep order={self.sweep.order} names no declared layer")
 
 
 # Pipeline failures a trial records instead of raising.
@@ -119,50 +136,70 @@ class GridPoint:
     n: int
     sweep_value: float
     coefficients: dict  # order -> unscaled coefficient array
+    alpha: tuple        # the community prior
 
-    def _threshold(self, alpha) -> tuple:
-        """(d_gch, verdict, error) of this point under the prior ``alpha``,
-        with error the text of a captured failure (and the other two None).
-
-        Every trial at the point shares the result, so it is computed on
-        first use and kept on the point, outside its fields; the point
-        carries it into the processes of a parallel sweep.
-        """
-        alpha = tuple(float(a) for a in alpha)
-        cached = self.__dict__.get("_threshold_cache")
-        if cached is None or cached[0] != alpha:
-            try:
-                value = chernoff_hellinger(alpha, self.coefficients, self.n).value
-                outcome = (value, classify_regime(value), None)
-            except CAPTURED_ERRORS as exc:
-                outcome = (None, None, _error_text(exc))
-            cached = (alpha, outcome)
-            self.__dict__["_threshold_cache"] = cached  # frozen: no __setattr__
-        return cached[1]
+    @cached_property
+    def threshold(self) -> tuple:
+        """(d_gch, verdict, error) of this point, with error the text of a
+        captured failure (and the other two None); all None where k < 2.
+        Computed on first use and kept on the point, outside its fields, it
+        travels with the point into the processes of a parallel sweep."""
+        if len(self.alpha) < 2:
+            return None, None, None
+        try:
+            value = chernoff_hellinger(self.alpha, self.coefficients, self.n).value
+        except CAPTURED_ERRORS as exc:
+            return None, None, _error_text(exc)
+        return value, classify_regime(value), None
 
 
-# The keys of a plain ``key = value`` config line.
-SCALAR_KEYS = ("n", "k", "alpha", "mode", "trials", "seed", "out")
+def _list_of(parse):
+    return lambda text: tuple(parse(t) for t in text.split(","))
 
 
-def _known_key(key: str, allowed) -> str:
-    key = key.strip()
-    if key not in allowed:
-        raise ValueError(f"unknown config key {key!r}")
-    return key
+# Each kind of config line: its required fields, and the parser of each of
+# its fields.  A line's first word names its kind; the plain ``key = value``
+# lines (None) form one record.
+LINE_FIELDS = {
+    None: (("n",), dict(n=_list_of(int), k=int, alpha=_list_of(float), mode=str,
+                        trials=int, seed=int, out=str)),
+    "layer": (("order",), dict(order=int, within=float, cross=float, values=_list_of(float))),
+    "sweep": (("order", "field", "values"), dict(order=int, field=str, values=_list_of(float))),
+}
 
 
-def _parse_kv_tokens(tokens, required, optional=()):
-    out = {}
-    for tok in tokens:
-        if "=" not in tok:
-            raise ValueError(f"expected key=value, got {tok!r}")
-        key, val = tok.split("=", 1)
-        out[_known_key(key, required + optional)] = val.strip()
-    missing = [key for key in required if key not in out]
-    if missing:
-        raise ValueError(f"{' '.join(tokens)!r} lacks {', '.join(missing)}")
-    return out
+def _read_lines(text: str):
+    """A config text's plain keys as one dict, and its layer and sweep lines
+    as (kind, fields) pairs, each value parsed; an unknown, repeated or
+    missing key is an error."""
+    plain, lines = {}, []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        kind, *tokens = line.split()
+        if kind not in LINE_FIELDS:
+            kind, tokens = None, [line]
+        required, parsers = LINE_FIELDS[kind]
+        fields = plain if kind is None else {}
+        for tok in tokens:
+            key, sep, val = (part.strip() for part in tok.partition("="))
+            if not sep or not key:
+                raise ValueError(f"expected key=value, got {tok!r}")
+            if key not in parsers:
+                raise ValueError(f"unknown config key {key!r}")
+            if key in fields:
+                raise ValueError(f"repeated config key {key!r}")
+            fields[key] = parsers[key](val)
+        if kind is not None:
+            missing = [key for key in required if key not in fields]
+            if missing:
+                raise ValueError(f"{' '.join(tokens)!r} lacks {', '.join(missing)}")
+            lines.append((kind, fields))
+    for key in LINE_FIELDS[None][0]:
+        if key not in plain:
+            raise ValueError(f"config lacks the required key {key}")
+    return plain, lines
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -175,60 +212,28 @@ def parse_config(text: str) -> ExperimentConfig:
     order declared twice is an error.  An optional ``sweep`` line varies one
     field of a declared layer over a list:
     ``sweep order=2 field=within values=2,4,6``.  ``#`` starts a comment.
-    A key or field outside these is an error.
+    A key or field outside these, a plain key given twice, a field given
+    twice on one line and a second ``sweep`` line are errors.  Every other
+    rule is checked by the config types, so a config built in code takes
+    the same checks.
     """
-    scalars = {}
-    layers = []
-    sweep = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("layer"):
-            kv = _parse_kv_tokens(line.split()[1:], ("order",), ("within", "cross", "values"))
-            spec = LayerSpec(
-                order=int(kv["order"]),
-                within=float(kv["within"]) if "within" in kv else None,
-                cross=float(kv["cross"]) if "cross" in kv else None,
-                values=tuple(float(t) for t in kv["values"].split(",")) if "values" in kv else None,
-            )
-            if any(l.order == spec.order for l in layers):
-                raise ValueError(f"layer order={spec.order} is declared twice")
-            layers.append(spec)
-        elif line.startswith("sweep"):
-            kv = _parse_kv_tokens(line.split()[1:], ("order", "field", "values"))
-            sweep = SweepSpec(
-                order=int(kv["order"]),
-                sweep_field=kv["field"],
-                values=tuple(float(t) for t in kv["values"].split(",")),
-            )
-            if sweep.sweep_field not in ("within", "cross"):
-                raise ValueError(f"cannot sweep field {sweep.sweep_field!r}")
-        else:
-            if "=" not in line:
-                raise ValueError(f"cannot parse line {raw!r}")
-            key, val = line.split("=", 1)
-            scalars[_known_key(key, SCALAR_KEYS)] = val.strip()
-
-    if "n" not in scalars:
-        raise ValueError("config lacks the required key n")
-    if sweep is not None and all(l.order != sweep.order for l in layers):
-        raise ValueError(f"sweep order={sweep.order} names no declared layer")
-    k = int(scalars.get("k", 2))
-    if k < 1:
-        raise ValueError(f"need k >= 1 communities, got k={k}")
-    alpha = (tuple(float(t) for t in scalars["alpha"].split(","))
-             if "alpha" in scalars else tuple([1.0 / k] * k))
+    plain, lines = _read_lines(text)
+    sweeps = [SweepSpec(f["order"], f["field"], f["values"]) for kind, f in lines
+              if kind == "sweep"]
+    if len(sweeps) > 1:
+        raise ValueError("sweep is declared twice")
+    k = plain.get("k", 2)
     return ExperimentConfig(
-        n_values=tuple(int(t) for t in scalars["n"].split(",")),
+        n_values=plain["n"],
         k=k,
-        alpha=alpha,
-        mode=scalars.get("mode", "agnostic"),
-        trials=int(scalars.get("trials", 1)),
-        seed=int(scalars.get("seed", 0)),
-        layers=tuple(layers),
-        sweep=sweep,
-        out=scalars.get("out"),
+        # no division where k < 1: ExperimentConfig names that k
+        alpha=plain["alpha"] if "alpha" in plain else tuple(1.0 / k for _ in range(k)),
+        mode=plain.get("mode", "agnostic"),
+        trials=plain.get("trials", 1),
+        seed=plain.get("seed", 0),
+        layers=tuple(LayerSpec(**f) for kind, f in lines if kind == "layer"),
+        sweep=sweeps[0] if sweeps else None,
+        out=plain.get("out"),
     )
 
 
@@ -251,7 +256,7 @@ def grid_points(config: ExperimentConfig) -> list:
                           for l in layers]
             coeffs = {l.order: l.coefficients(config.k) for l in layers}
             points.append(GridPoint(point_id=pid, n=n, sweep_value=sval,
-                                    coefficients=coeffs))
+                                    coefficients=coeffs, alpha=config.alpha))
             pid += 1
     return points
 
@@ -293,11 +298,10 @@ def run_trial(config: ExperimentConfig, point: GridPoint, seed: int) -> TrialRec
     not raised.  The point's threshold is computed by its first trial and
     shared by the rest (``phase_sweep`` computes it before any trial)."""
     start = time.perf_counter()
-    d_gch = verdict = error = None
+    d_gch = verdict = error = rec = None
     try:
         tensors, truth, h = sample_instance(config, point, seed)
-        if config.k >= 2:
-            d_gch, verdict, error = point._threshold(config.alpha)
+        d_gch, verdict, error = point.threshold
         if error is None:
             if config.mode == "agnostic":
                 rec = agnostic_partition(h, config.k, seed=seed, truth=truth)
@@ -307,15 +311,10 @@ def run_trial(config: ExperimentConfig, point: GridPoint, seed: int) -> TrialRec
     except CAPTURED_ERRORS as exc:
         error = _error_text(exc)
     wall = (time.perf_counter() - start) * 1000.0
-    if error is not None:
-        return TrialRecord(point_id=point.point_id, n=point.n, seed=seed,
-                           d_gch=_round9(d_gch), verdict=verdict,
-                           wall_ms=_round9(wall), error=error)
-    return TrialRecord(point_id=point.point_id, n=point.n, seed=seed,
-                       d_gch=_round9(d_gch), verdict=verdict,
-                       eta_stage1=_round9(rec.eta_stage1),
-                       eta_final=_round9(rec.eta),
-                       iters=rec.iterations, wall_ms=_round9(wall))
+    scores = {} if rec is None else dict(
+        eta_stage1=_round9(rec.eta_stage1), eta_final=_round9(rec.eta), iters=rec.iterations)
+    return TrialRecord(point_id=point.point_id, n=point.n, seed=seed, d_gch=_round9(d_gch),
+                       verdict=verdict, wall_ms=_round9(wall), error=error, **scores)
 
 
 @dataclass(frozen=True)
@@ -421,14 +420,14 @@ def phase_sweep(config: ExperimentConfig, workers: int = 1):
     import scipy.sparse.linalg  # noqa: F401
     # Each point's threshold, computed once here, travels with its jobs and
     # stays out of every trial's wall_ms.
-    if config.k >= 2:
-        for point in points:
-            point._threshold(config.alpha)
+    for point in points:
+        point.threshold
     with _one_blas_thread():
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            # under fork the pool starts all max_workers at the first submit
+            with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
                 records = list(pool.map(_run_trial_job, jobs))
         else:
             records = [_run_trial_job(job) for job in jobs]

@@ -31,10 +31,12 @@ from .compositions import (
 
 
 def validate_prior(alpha) -> np.ndarray:
-    """Check a community prior: strictly positive entries summing to 1."""
+    """Check a community prior: finite, strictly positive entries summing to 1."""
     alpha = np.asarray(alpha, dtype=float)
     if alpha.ndim != 1 or alpha.size < 1:
         raise ValueError("prior must be a nonempty 1-d vector")
+    if not np.isfinite(alpha).all():
+        raise ValueError(f"prior entries must be finite, got {alpha.tolist()}")
     if np.any(alpha <= 0):
         raise ValueError("prior entries must be strictly positive")
     if abs(alpha.sum() - 1.0) > 1e-12:

@@ -152,10 +152,18 @@ def test_usage_errors_are_one_line_and_exit_two(config_path, tmp_path, capsys):
     ("layer order=1 within=12 cross=2\n", "layer order=1: edge order must be >= 2"),
     ("trails = 20\n", "unknown config key 'trails'"),
     ("alpha = 0.5\n", "prior must sum to 1, got 0.5"),
+    ("alpha = nan,0.5\n", "prior entries must be finite, got [nan, 0.5]"),
+    ("n = 300\n", "repeated config key 'n'"),
+    ("layer order=3 within=9 cross=1 cross=2\n", "repeated config key 'cross'"),
+    ("sweep order=2 field=within values=4\nsweep order=2 field=cross values=1\n",
+     "sweep is declared twice"),
+    ("layers = 3\n", "unknown config key 'layers'"),
 ])
 def test_layer_config_errors_are_one_line_and_exit_two(tmp_path, capsys, extra, message):
     path = tmp_path / "bad.cfg"
-    path.write_text(CONFIG + extra)
+    # without its alpha line CONFIG keeps the same prior, its default 0.5,0.5,
+    # and a case may give the one alpha line
+    path.write_text(CONFIG.replace("alpha = 0.5,0.5\n", "") + extra)
     out = str(tmp_path / "out")
     for argv in (["threshold"], ["sample", "--out", out], ["phase", "--out", out]):
         assert main(argv + ["--config", str(path)]) == 2

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -73,6 +74,8 @@ def test_parse_config_rejects_garbage():
         hs.parse_config("n = 50\nk = 2\nlayer order=2 within=3\n")  # cross missing
     with pytest.raises(ValueError):
         hs.parse_config("nonsense line\n")
+    with pytest.raises(ValueError, match=r"^expected key=value, got '='$"):
+        hs.parse_config("n = 50\nlayer = 3\n")  # a layer line, not a plain key
     with pytest.raises(ValueError):
         hs.parse_config("n=50\nk=2\nmode=wat\nlayer order=2 within=3 cross=1\n")
     with pytest.raises(ValueError):
@@ -100,6 +103,7 @@ def test_parse_config_rejects_an_order_below_two(order):
     ("trails = 20", "trails"),
     ("layer order=3 within=9 cross=1 crosss=2", "crosss"),
     ("sweep order=2 field=within values=2,4 step=1", "step"),
+    ("layers = 3", "layers"),
 ])
 def test_parse_config_rejects_unknown_keys(line, key):
     # a misspelt key that was ignored would leave its default in force
@@ -122,6 +126,45 @@ def test_parse_config_rejects_a_sweep_of_an_undeclared_order():
     with pytest.raises(ValueError, match=r"^sweep order=3 names no declared layer$"):
         hs.parse_config("n = 50\nlayer order=2 within=4 cross=1\n"
                         "sweep order=3 field=within values=1,2,3\n")
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("n = 300\n", "repeated config key 'n'"),
+    ("layer order=3 within=9 cross=1 within=4\n", "repeated config key 'within'"),
+    ("sweep order=2 field=within values=4\nsweep order=2 field=cross values=1\n",
+     "sweep is declared twice"),
+])
+def test_parse_config_rejects_a_repeated_key(extra, message):
+    # the later value used to replace the earlier one without a word
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        hs.parse_config(BASE_CONFIG + extra)
+
+
+@pytest.mark.parametrize("extra, build, message", [
+    ("layer order=2 within=9 cross=1\n",
+     lambda cfg: dataclasses.replace(cfg, layers=cfg.layers + (hs.LayerSpec(2, 9.0, 1.0),)),
+     "layer order=2 is declared twice"),
+    ("sweep order=3 field=within values=1,2\n",
+     lambda cfg: dataclasses.replace(cfg, sweep=hs.SweepSpec(3, "within", (1.0, 2.0))),
+     "sweep order=3 names no declared layer"),
+    ("sweep order=2 field=order values=1,2\n",
+     lambda cfg: dataclasses.replace(cfg, sweep=hs.SweepSpec(2, "order", (1.0, 2.0))),
+     "cannot sweep field 'order'"),
+    ("k = 0\n",
+     lambda cfg: dataclasses.replace(cfg, k=0, alpha=()),
+     "need k >= 1 communities, got k=0"),
+])
+def test_a_config_built_in_code_takes_the_checks_of_a_file(extra, build, message):
+    base = BASE_CONFIG.replace("k = 2\n", "").replace("alpha = 0.5,0.5\n", "")
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        hs.parse_config(base + extra)
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        build(hs.parse_config(BASE_CONFIG))
+
+
+def test_sweep_spec_rejects_empty_values():
+    with pytest.raises(ValueError, match=r"^empty sweep values$"):
+        hs.SweepSpec(2, "within", ())
 
 
 def test_grid_points_cross_n_and_sweep():
@@ -243,6 +286,41 @@ def test_run_trial_computes_its_points_threshold_once(tmp_path, monkeypatch):
     first, second = hs.run_trial(cfg, point, seed=7), hs.run_trial(cfg, point, seed=8)
     assert len(calls.read_text().splitlines()) == 1
     assert first.d_gch == second.d_gch and first.verdict == second.verdict == "achievable"
+
+
+def test_grid_points_compute_no_threshold(tmp_path, monkeypatch):
+    calls = tmp_path / "calls"
+    monkeypatch.setattr(harness, "chernoff_hellinger", counting_threshold(calls))
+    points = grid_points(hs.parse_config(SWEEP_CONFIG))
+    assert len(points) == 2 and not calls.exists()
+    assert all(point.alpha == (0.5, 0.5) for point in points)
+
+
+def test_phase_sweep_starts_no_more_processes_than_jobs(monkeypatch):
+    # under fork a real pool would start every one of max_workers at once
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    cfg = hs.parse_config(SWEEP_CONFIG)
+    records, _ = hs.phase_sweep(cfg, workers=1000)
+    assert sizes == [4]
+    seq, _ = hs.phase_sweep(cfg, workers=1)
+    assert [strip_wall(r) for r in records] == [strip_wall(r) for r in seq]
 
 
 @pytest.mark.parametrize("workers", [1, 2])

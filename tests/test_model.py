@@ -65,6 +65,13 @@ def test_validate_prior():
     assert np.allclose(hs.validate_prior([0.25, 0.75]), [0.25, 0.75])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_validate_prior_rejects_non_finite_entries(bad):
+    # NaN passed both the sign test and the sum test
+    with pytest.raises(ValueError, match=r"^prior entries must be finite, got \["):
+        hs.validate_prior([bad, 1.0])
+
+
 def test_membership_degenerate_prior():
     assert np.all(hs.sample_membership(20, [1.0], seed=0) == 0)
 
