@@ -9,6 +9,7 @@ CSV).  Vertex ids and community labels are 1-based in all files and output.
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -54,8 +55,9 @@ def _cmd_sample(args) -> int:
     points = grid_points(config)
     if not 0 <= args.point < len(points):
         raise ValueError(f"point index {args.point} out of range (grid has {len(points)})")
-    seed = config.seed if args.seed is None else args.seed
-    _, truth, h = sample_instance(config, points[args.point], seed)
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
+    _, truth, h = sample_instance(config, points[args.point], config.seed)
     write_hypergraph(h, args.out)
     sizes = ", ".join(f"m={m}: {h.num_edges(m)}" for m in h.orders)
     print(f"wrote {args.out}: n={h.n}, edges {sizes}")
@@ -66,6 +68,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_recover(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"need seed >= 0, got seed={args.seed}")
     h = read_hypergraph(args.input)
     truth = read_membership(args.truth) if args.truth else None
     if truth is not None and len(truth) != h.n:
@@ -91,11 +95,6 @@ def _cmd_recover(args) -> int:
     if args.out:
         write_membership(report.labels, args.out)
         print(f"wrote {args.out}")
-    if args.csv:
-        eta = "" if report.eta is None else f"{report.eta:.9g}"
-        eta1 = "" if report.eta_stage1 is None else f"{report.eta_stage1:.9g}"
-        print("n,k,seed,eta_stage1,eta_final,iters")
-        print(f"{h.n},{args.k},{args.seed},{eta1},{eta},{report.iterations}")
     return 0
 
 
@@ -155,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="model config (required for --mode prior)")
     p.add_argument("--out", help="write the estimated membership here")
-    p.add_argument("--csv", action="store_true", help="also print a CSV row")
     p.set_defaults(func=_cmd_recover)
 
     p = sub.add_parser("estimate-k", help="estimate the number of communities")

@@ -55,25 +55,6 @@ def _binomial_tables(max_n: int, k: int) -> np.ndarray:
     return tables
 
 
-def composition_rank(counts, m: int) -> np.ndarray:
-    """Canonical index of each row of per-community counts summing to m.
-
-    Stars and bars: the compositions ahead of w in lex-descending order are
-    those that agree with w on parts 0..l-1 and exceed it on part l, and
-    there are C(r_l - w_l - 1 + k - l - 1, k - l - 1) of them, where r_l is
-    the part of m still left to place at l.  Vectorised over leading axes.
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    k = counts.shape[-1]
-    tables = _binomial_tables(m + k - 2, k - 1)
-    rank = np.zeros(counts.shape[:-1], dtype=np.int64)
-    left = np.full(counts.shape[:-1], m, dtype=np.int64)
-    for l in range(k - 1):
-        rank += tables[k - l - 1, left - counts[..., l] + k - l - 2]
-        left -= counts[..., l]
-    return rank
-
-
 @lru_cache(maxsize=None)
 def member_lift_table(m: int, k: int) -> np.ndarray:
     """Index table lifting order-(m-1) types to order-m types.
@@ -85,8 +66,10 @@ def member_lift_table(m: int, k: int) -> np.ndarray:
     table is cached and shared, so it is read-only.
     """
     m, k = index(m), index(k)
-    lower = np.array(weak_compositions(m - 1, k), dtype=np.int64)
-    table = composition_rank(lower[None, :, :] + np.eye(k, dtype=np.int64)[:, None, :], m)
+    rank = {w: i for i, w in enumerate(weak_compositions(m, k))}
+    table = np.array([[rank[w[:label] + (w[label] + 1,) + w[label + 1:]]
+                       for w in weak_compositions(m - 1, k)] for label in range(k)],
+                     dtype=np.int64)
     table.setflags(write=False)
     return table
 

@@ -19,7 +19,7 @@ from .compositions import (
     member_lift_table,
     multinomial_weight_vector,
 )
-from .model import check_coefficients, validate_prior
+from .model import check_coefficients, edge_pool, validate_prior
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Width of the bracket at which the golden-section search on [0, 1] stops.
@@ -64,10 +64,8 @@ def _layers(alpha: np.ndarray, coefficients: dict, n: int, weights: str) -> list
     for m, coeff in sorted(coefficients.items()):
         coeff = check_coefficients(m, coeff)
         if weights == "finite":
-            if n < m + 1:
-                raise ValueError(f"need n >= {m + 1} for order {m}")
-            wts = expected_capacity_vector(m - 1, num_communities, alpha, n)
-            wts = wts / float(math.comb(n - 1, m - 1))
+            pool = float(edge_pool(n, m))
+            wts = expected_capacity_vector(m - 1, num_communities, alpha, n) / pool
         elif weights == "asymptotic":
             wts = multinomial_weight_vector(m - 1, num_communities, alpha)
         else:

@@ -8,6 +8,7 @@ contract, so sweeps can be sharded across processes and reproduced exactly.
 
 import ctypes
 import os
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -106,6 +107,8 @@ class ExperimentConfig:
             raise ValueError("empty n grid")
         if self.trials < 1:
             raise ValueError("need at least one trial per point")
+        if self.seed < 0:
+            raise ValueError(f"need seed >= 0, got seed={self.seed}")
         if self.mode not in ("agnostic", "prior"):
             raise ValueError(f"unknown mode {self.mode!r}")
         validate_prior(self.alpha)
@@ -118,6 +121,9 @@ class ExperimentConfig:
             if layer.order in orders[:i]:
                 raise ValueError(f"layer order={layer.order} is declared twice")
             layer.coefficients(self.k)  # fail fast on malformed layers
+        if min(self.n_values) < max(orders):
+            raise ValueError(f"need n >= {max(orders)} for order {max(orders)}, "
+                             f"got n={min(self.n_values)}")
         if self.sweep is not None and self.sweep.order not in orders:
             raise ValueError(f"sweep order={self.sweep.order} names no declared layer")
 
@@ -403,10 +409,11 @@ def phase_sweep(config: ExperimentConfig, workers: int = 1):
     """Run every (point, trial) job and aggregate exact-recovery rates.
 
     Trial t of every point uses seed ``config.seed + t``.  With workers > 1
-    jobs run in separate processes.  Either way the jobs run at one OpenBLAS
-    thread, and the caller's thread counts are restored afterwards; results
-    are ordered by (point, trial), so the output is identical to a
-    sequential run.
+    jobs run in separate processes, forked on Linux whatever the default
+    start method (forkserver from Python 3.14).  On Linux the jobs run at one
+    OpenBLAS thread either way, and the caller's thread counts are restored
+    afterwards.  Results are ordered by (point, trial), so the output is
+    identical to a sequential run.
     """
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
@@ -424,10 +431,12 @@ def phase_sweep(config: ExperimentConfig, workers: int = 1):
         point.threshold
     with _one_blas_thread():
         if workers > 1:
+            import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
             # under fork the pool starts all max_workers at the first submit
-            with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            fork = multiprocessing.get_context("fork") if sys.platform == "linux" else None
+            with ProcessPoolExecutor(min(workers, len(jobs)), fork) as pool:
                 records = list(pool.map(_run_trial_job, jobs))
         else:
             records = [_run_trial_job(job) for job in jobs]

@@ -53,6 +53,13 @@ def check_coefficients(m: int, vals) -> np.ndarray:
     return vals
 
 
+def edge_pool(n: int, m: int) -> int:
+    """C(n-1, m-1), the order-m edges holding a given one of n vertices."""
+    if n < m:
+        raise ValueError(f"need n >= {m} for order {m}")
+    return math.comb(n - 1, m - 1)
+
+
 @dataclass(frozen=True)
 class ProbabilityTensors:
     """Per-order edge probabilities collapsed by membership type.
@@ -85,10 +92,7 @@ class ProbabilityTensors:
             raise ValueError("need n >= 2 to scale coefficients")
         q = {}
         for m, vals in coefficients.items():
-            pool = math.comb(n - 1, m - 1)
-            if pool == 0:
-                raise ValueError(f"need n >= {m} for order {m}")
-            q[m] = check_coefficients(m, vals) * (math.log(n) / pool)
+            q[m] = check_coefficients(m, vals) * (math.log(n) / edge_pool(n, m))
         return cls(k=k, q=q)
 
     @property

@@ -40,69 +40,47 @@ from .spectral import (
 def confusion_matrix(truth, estimate, k: int) -> np.ndarray:
     truth = np.asarray(truth, dtype=np.int64)
     estimate = np.asarray(estimate, dtype=np.int64)
-    out = np.zeros((k, k), dtype=np.int64)
-    np.add.at(out, (truth, estimate), 1)
-    return out
+    return np.bincount(truth * k + estimate, minlength=k * k).reshape(k, k)
 
 
-def _max_assignment(weights):
-    """Rows and columns of a maximum-weight perfect matching of a square
-    integer matrix, as ``(arange(k), cols)``.
+def _best_matching(weights) -> np.ndarray:
+    """A column for each row of a square integer matrix, all distinct, with
+    the largest total weight.
 
-    Shortest augmenting paths (Crouse 2016) on the negated weights, one row
-    at a time, with the tie-breaking of ``scipy.optimize.linear_sum_assignment``:
-    the remaining columns start as k-1..0, a picked column is replaced by
-    the last remaining one, and among the columns of lowest path cost the
-    last unassigned one wins, else the first.  Integer weights keep every
-    sum exact, so the matching is the one that function returns.
+    The Hungarian method: rows join one at a time along a shortest
+    augmenting path, and integer potentials keep every reduced cost exact.
+    Which of several best matchings comes back is not specified.
     """
-    cost = -np.asarray(weights, dtype=np.float64)
-    k = cost.shape[0]
-    u = np.zeros(k)
-    v = np.zeros(k)
-    col4row = np.full(k, -1, dtype=np.int64)
-    row4col = np.full(k, -1, dtype=np.int64)
-    path = np.full(k, -1, dtype=np.int64)
-    for cur in range(k):
-        spc = np.full(k, np.inf)
-        in_sr = np.zeros(k, dtype=bool)
-        in_sc = np.zeros(k, dtype=bool)
-        remaining = np.arange(k - 1, -1, -1)
-        count = k
-        i, min_val, sink = cur, 0.0, -1
-        while sink < 0:
-            in_sr[i] = True
-            rem = remaining[:count]
-            r = min_val + cost[i, rem] - u[i] - v[rem]
-            better = r < spc[rem]
-            path[rem[better]] = i
-            spc[rem[better]] = r[better]
-            costs = spc[rem]
-            min_val = costs.min()
-            ties = np.flatnonzero(costs == min_val)
-            free = ties[row4col[rem[ties]] < 0]
-            index = free[-1] if len(free) else ties[0]
-            j = rem[index]
-            if row4col[j] < 0:
-                sink = j
-            else:
-                i = row4col[j]
-            in_sc[j] = True
-            count -= 1
-            remaining[index] = remaining[count]
-        u[cur] += min_val
-        others = np.flatnonzero(in_sr)
-        others = others[others != cur]
-        u[others] += min_val - spc[col4row[others]]
-        v[in_sc] -= min_val - spc[in_sc]
-        j = sink
-        while True:
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == cur:
-                break
-    return np.arange(k), col4row
+    cost = [[-w for w in row] for row in np.asarray(weights).tolist()]
+    k = len(cost)
+    u, v = [0] * k, [0] * (k + 1)
+    row4col = [-1] * (k + 1)  # column k marks where a path starts
+    for i in range(k):
+        row4col[k], col = i, k
+        dist, prev, used = [math.inf] * (k + 1), [k] * k, [False] * (k + 1)
+        while row4col[col] >= 0:
+            used[col] = True
+            row, step = row4col[col], math.inf
+            for j in range(k):
+                if not used[j]:
+                    reduced = cost[row][j] - u[row] - v[j]
+                    if reduced < dist[j]:
+                        dist[j], prev[j] = reduced, col
+                    if dist[j] < step:
+                        step, nxt = dist[j], j
+            for j in range(k + 1):
+                if used[j]:
+                    u[row4col[j]] += step
+                    v[j] -= step
+                else:
+                    dist[j] -= step
+            col = nxt
+        while col != k:
+            row4col[col] = row4col[prev[col]]
+            col = prev[col]
+    col4row = np.empty(k, dtype=np.int64)
+    col4row[row4col[:k]] = np.arange(k)
+    return col4row
 
 
 def mismatch_ratio(truth, estimate, k: int = None):
@@ -110,7 +88,7 @@ def mismatch_ratio(truth, estimate, k: int = None):
 
     Solved exactly as an assignment problem on the confusion matrix.
     Returns (ratio, permutation) where permutation[a] is the estimate label
-    matched to truth label a.
+    matched to truth label a (one of the best, where several tie).
     """
     truth = np.asarray(truth, dtype=np.int64)
     estimate = np.asarray(estimate, dtype=np.int64)
@@ -124,8 +102,8 @@ def mismatch_ratio(truth, estimate, k: int = None):
         if z.min() < 0 or z.max() >= k:
             raise ValueError(f"{name} labels must lie in [0, {k})")
     conf = confusion_matrix(truth, estimate, k)
-    rows, perm = _max_assignment(conf)
-    matched = conf[rows, perm].sum()
+    perm = _best_matching(conf)
+    matched = conf[np.arange(k), perm].sum()
     return 1.0 - matched / len(truth), perm
 
 
@@ -144,20 +122,14 @@ class RecoveryReport:
     converged: bool = None   # refinement reached a fixed point (None for the MAP route)
     eta: float = None        # mismatch ratio vs truth, when truth was given
     eta_stage1: float = None
-    permutation: np.ndarray = None
 
 
 def _finish_report(truth, k, labels, stage1, kept, iterations,
                    converged=None) -> RecoveryReport:
-    if truth is None:
-        return RecoveryReport(labels=labels, stage1_labels=stage1, kept=kept,
-                              iterations=iterations, converged=converged)
-    eta, perm = mismatch_ratio(truth, labels, k)
-    eta1, _ = mismatch_ratio(truth, stage1, k)
+    scores = {} if truth is None else dict(eta=mismatch_ratio(truth, labels, k)[0],
+                                           eta_stage1=mismatch_ratio(truth, stage1, k)[0])
     return RecoveryReport(labels=labels, stage1_labels=stage1, kept=kept,
-                          iterations=iterations, converged=converged,
-                          eta=eta, eta_stage1=eta1,
-                          permutation=perm)
+                          iterations=iterations, converged=converged, **scores)
 
 
 # ---------------------------------------------------------------------------

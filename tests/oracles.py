@@ -7,7 +7,7 @@ from itertools import permutations
 
 import numpy as np
 
-from hypersbm.compositions import (capacity, capacity_vector, composition_rank,
+from hypersbm.compositions import (_binomial_tables, capacity, capacity_vector,
                                    member_lift_table, weak_compositions)
 from hypersbm.model import Hypergraph, adjacency_matrix
 from hypersbm.pipeline import CommunityCountEstimate, confusion_matrix
@@ -17,8 +17,27 @@ from hypersbm.spectral import rank_k_approx
 @lru_cache(maxsize=None)
 def composition_index(m: int, k: int) -> dict:
     """Map composition tuple -> its position in the canonical order (the
-    reference for compositions.composition_rank)."""
+    reference for composition_rank)."""
     return {w: i for i, w in enumerate(weak_compositions(m, k))}
+
+
+def composition_rank(counts, m: int) -> np.ndarray:
+    """Canonical index of each row of per-community counts summing to m.
+
+    Stars and bars: the compositions ahead of w in lex-descending order are
+    those that agree with w on parts 0..l-1 and exceed it on part l, and
+    there are C(r_l - w_l - 1 + k - l - 1, k - l - 1) of them, where r_l is
+    the part of m still left to place at l.  Vectorised over leading axes.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    k = counts.shape[-1]
+    tables = _binomial_tables(m + k - 2, k - 1)
+    rank = np.zeros(counts.shape[:-1], dtype=np.int64)
+    left = np.full(counts.shape[:-1], m, dtype=np.int64)
+    for l in range(k - 1):
+        rank += tables[k - l - 1, left - counts[..., l] + k - l - 2]
+        left -= counts[..., l]
+    return rank
 
 
 def add_member(w: tuple, label: int) -> tuple:

@@ -54,7 +54,7 @@ def test_sample_then_recover_and_estimate(config_path, tmp_path, capsys):
     out_path = str(tmp_path / "zhat.txt")
     assert main(["recover", "--mode", "agnostic", "--input", h_path,
                  "--truth", z_path, "--k", "2", "--seed", "3",
-                 "--out", out_path, "--csv"]) == 0
+                 "--out", out_path]) == 0
     printed = capsys.readouterr().out
     assert "mismatch ratio" in printed
     assert "refinement rounds:   1 (converged)\n" in printed
@@ -200,22 +200,36 @@ def test_readme_config_block_parses_and_runs_threshold(tmp_path, capsys):
     assert capsys.readouterr().out.count("  global: ") == len(cfg.sweep.values)
 
 
-def test_phase_records_n_below_an_order_without_a_traceback(tmp_path):
-    # n = 2 is below the triple layer's order: each trial records the error
-    path = tmp_path / "tiny.cfg"
-    path.write_text(CONFIG.replace("n = 60", "n = 2")
-                    .replace("layer order=2", "layer order=3"))
-    out = str(tmp_path / "sweep.csv")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, "-m", "hypersbm.cli", "phase", "--config",
-                           str(path), "--out", out], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert done.returncode == 1
-    assert "Traceback" not in done.stderr
-    assert done.stderr.splitlines() == [
-        f"hypersbm: trial point=0 seed={seed}: ValueError: need n >= 3 for order 3"
-        for seed in (11, 12)]
-    assert len(hs.parse_csv(out)) == 2
+@pytest.mark.parametrize("edits, message", [
+    ((("seed = 11", "seed = -2"),), "need seed >= 0, got seed=-2"),
+    ((("n = 60", "n = 2"), ("layer order=2", "layer order=3")),
+     "need n >= 3 for order 3, got n=2"),
+], ids=["seed", "n"])
+def test_negative_seed_and_n_below_an_order_are_one_line_and_exit_two(tmp_path, capsys,
+                                                                      edits, message):
+    # phase used to exit 1 and write a failed row per trial, and threshold
+    # to ask for n >= 4 at order 3
+    text = CONFIG
+    for old, new in edits:
+        text = text.replace(old, new)
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    out = str(tmp_path / "out")
+    for argv in (["threshold"], ["sample", "--out", out], ["phase", "--out", out]):
+        assert main(argv + ["--config", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"hypersbm: error: {message}\n")
+    assert not os.path.exists(out)
+
+
+def test_negative_seed_option_is_one_line_and_exit_two(config_path, tmp_path, capsys):
+    h_path = str(tmp_path / "h.txt")
+    assert main(["sample", "--config", config_path, "--out", h_path, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "hypersbm: error: need seed >= 0, got seed=-1\n"
+    assert main(["sample", "--config", config_path, "--out", h_path]) == 0
+    capsys.readouterr()
+    assert main(["recover", "--mode", "agnostic", "--input", h_path, "--k", "2",
+                 "--seed", "-1"]) == 2
+    assert capsys.readouterr() == ("", "hypersbm: error: need seed >= 0, got seed=-1\n")
 
 
 def test_bad_input_is_one_line_and_exit_two(tmp_path, capsys):

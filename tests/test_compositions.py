@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hypersbm.compositions import (
     capacity,
     capacity_vector,
-    composition_rank,
     expected_capacity_vector,
     member_drop_table,
     member_lift_table,
@@ -19,7 +18,7 @@ from hypersbm.compositions import (
     num_weak_compositions,
     weak_compositions,
 )
-from oracles import add_member, composition_index, expected_capacity
+from oracles import add_member, composition_index, composition_rank, expected_capacity
 
 
 def brute_force_compositions(m, k):

@@ -229,3 +229,13 @@ def test_classify_regime():
     assert hs.classify_regime(1.002) == "achievable"
     assert hs.classify_regime(0.998) == "impossible"
 
+
+def test_threshold_and_tensors_share_the_bound_on_n():
+    # both need the C(n-1, m-1) edges of order m around a vertex: n >= m
+    coeffs = hs.two_level_coefficients(2, {3: 0.5}, {3: 0.2})
+    assert math.isfinite(hs.chernoff_hellinger([0.5, 0.5], coeffs, 3).value)
+    assert hs.ProbabilityTensors.from_unscaled(2, coeffs, 3).orders == [3]
+    for build in (lambda: hs.chernoff_hellinger([0.5, 0.5], coeffs, 2),
+                  lambda: hs.ProbabilityTensors.from_unscaled(2, coeffs, 2)):
+        with pytest.raises(ValueError, match=r"^need n >= 3 for order 3$"):
+            build()

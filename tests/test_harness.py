@@ -162,6 +162,21 @@ def test_a_config_built_in_code_takes_the_checks_of_a_file(extra, build, message
         build(hs.parse_config(BASE_CONFIG))
 
 
+def test_config_rejects_a_negative_seed_and_n_below_an_order():
+    # each used to fail in the trials, with a message naming neither
+    for text, message in [
+            (BASE_CONFIG.replace("seed = 7", "seed = -2"), "need seed >= 0, got seed=-2"),
+            (BASE_CONFIG.replace("n = 60", "n = 2,60").replace("order=2", "order=3"),
+             "need n >= 3 for order 3, got n=2")]:
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            hs.parse_config(text)
+    cfg = hs.parse_config(BASE_CONFIG)
+    with pytest.raises(ValueError, match=r"^need seed >= 0, got seed=-1$"):
+        dataclasses.replace(cfg, seed=-1)
+    with pytest.raises(ValueError, match=r"^need n >= 2 for order 2, got n=1$"):
+        dataclasses.replace(cfg, n_values=(60, 1))
+
+
 def test_sweep_spec_rejects_empty_values():
     with pytest.raises(ValueError, match=r"^empty sweep values$"):
         hs.SweepSpec(2, "within", ())
@@ -303,7 +318,7 @@ def test_phase_sweep_starts_no_more_processes_than_jobs(monkeypatch):
     sizes = []
 
     class InProcessPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context=None):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -387,6 +402,34 @@ def test_pool_workers_inherit_one_blas_thread_and_start_no_other(monkeypatch):
     monkeypatch.setattr(harness, "_run_trial_job", os_threads_job)
     records, _ = hs.phase_sweep(hs.parse_config(SWEEP_CONFIG), workers=2)
     assert [r.os_threads for r in records] == [1] * len(records)
+
+
+START_METHOD_SWEEPS = f"""
+import json, multiprocessing, sys
+multiprocessing.set_start_method(sys.argv[1])
+import hypersbm as hs
+from hypersbm import harness
+from blas_probe import blas_thread_counts, blas_threads_job, os_threads_job
+config = hs.parse_config({SWEEP_CONFIG!r})
+harness._run_trial_job = blas_threads_job
+threads, _ = hs.phase_sweep(config, workers=2)
+harness._run_trial_job = os_threads_job
+os_threads, _ = hs.phase_sweep(config, workers=2)
+print(json.dumps({{"parent": list(blas_thread_counts()),
+                  "threads": [r.threads for r in threads],
+                  "os_threads": [r.os_threads for r in os_threads]}}))
+"""
+
+
+@needs_openblas
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_pool_workers_fork_whatever_the_default_start_method(method):
+    # the two checks above, in a process whose default is not fork (Linux's
+    # default is forkserver from Python 3.14); this process keeps its own
+    out = run_python(START_METHOD_SWEEPS, method)
+    expected = {path: 1 for path in out["parent"]}
+    assert out["threads"] == [expected] * len(out["threads"])
+    assert out["os_threads"] == [1] * len(out["os_threads"])
 
 
 @needs_openblas

@@ -85,11 +85,13 @@ def square_counts(draw):
 
 @settings(max_examples=1000, deadline=None, derandomize=True)
 @given(square_counts())
-def test_max_assignment_matches_scipy(weights):
-    rows, cols = pipeline._max_assignment(weights)
-    expected_rows, expected_cols = linear_sum_assignment(weights, maximize=True)
-    assert np.array_equal(rows, expected_rows)
-    assert np.array_equal(cols, expected_cols)
+def test_best_matching_reaches_the_scipy_optimum(weights):
+    # a tied matching may differ from scipy's; its weight may not
+    cols = pipeline._best_matching(weights)
+    k = len(weights)
+    assert cols.dtype == np.int64 and sorted(cols.tolist()) == list(range(k))
+    rows, best = linear_sum_assignment(weights, maximize=True)
+    assert weights[np.arange(k), cols].sum() == weights[rows, best].sum()
 
 
 def test_mismatch_equals_bruteforce():

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypersbm as hs
-from hypersbm.compositions import composition_rank
 from hypersbm.model import make_hypergraph
 from hypersbm.refinement import _edge_types, edge_composition_counts, edge_type_count_matrix
-from oracles import (composition_index, edge_types_by_counts, tensor_value,
-                     type_counts_bruteforce)
+from oracles import (composition_index, composition_rank, edge_types_by_counts,
+                     tensor_value, type_counts_bruteforce)
 
 
 def two_clique_instance():
