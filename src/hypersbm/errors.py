@@ -7,7 +7,7 @@ harness records them per trial instead of aborting a sweep).
 
 
 class ConvergenceError(RuntimeError):
-    """Iterative eigensolver failed to converge within its iteration budget."""
+    """Iterative eigensolver failed: no convergence within its budget, or an ARPACK error."""
 
 
 class DegenerateDegreeError(ValueError):

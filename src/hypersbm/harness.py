@@ -29,8 +29,18 @@ from .model import (
 from .compositions import weak_compositions
 from .pipeline import agnostic_partition, partition_with_prior
 
-CSV_COLUMNS = ("point_id", "n", "seed", "d_gch", "verdict",
-               "eta_stage1", "eta_final", "iters", "wall_ms")
+
+def _optional(parse):
+    return lambda cell: parse(cell) if cell else None
+
+
+# Each trial CSV column, in file order, and the parser of its cells; an
+# empty cell is an undefined value.
+CSV_FIELDS = {"point_id": int, "n": int, "seed": int, "d_gch": _optional(float),
+              "verdict": _optional(str), "eta_stage1": _optional(float),
+              "eta_final": _optional(float), "iters": _optional(int),
+              "wall_ms": _optional(float)}
+CSV_COLUMNS = tuple(CSV_FIELDS)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +254,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def read_config(path) -> ExperimentConfig:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return parse_config(fh.read())
 
 
@@ -473,26 +483,20 @@ def emit_csv(records, path) -> None:
 
 def parse_csv(path) -> list:
     """Read back an emitted trial table (the in-file error field is not
-    serialized, so parsed records carry error=None)."""
+    serialized, so parsed records carry error=None).  A row with the wrong
+    number of cells is a ValueError naming its line."""
     records = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != ",".join(CSV_COLUMNS):
             raise ValueError(f"unexpected header {header!r}")
-        for line in fh:
+        for line_no, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             cells = line.rstrip("\n").split(",")
-            vals = dict(zip(CSV_COLUMNS, cells))
-            records.append(TrialRecord(
-                point_id=int(vals["point_id"]),
-                n=int(vals["n"]),
-                seed=int(vals["seed"]),
-                d_gch=float(vals["d_gch"]) if vals["d_gch"] else None,
-                verdict=vals["verdict"] or None,
-                eta_stage1=float(vals["eta_stage1"]) if vals["eta_stage1"] else None,
-                eta_final=float(vals["eta_final"]) if vals["eta_final"] else None,
-                iters=int(vals["iters"]) if vals["iters"] else None,
-                wall_ms=float(vals["wall_ms"]) if vals["wall_ms"] else None,
-            ))
+            if len(cells) != len(CSV_FIELDS):
+                raise ValueError(f"{path}: line {line_no}: expected {len(CSV_FIELDS)} "
+                                 f"cells, got {len(cells)}")
+            records.append(TrialRecord(**{column: parse(cell) for (column, parse), cell
+                                          in zip(CSV_FIELDS.items(), cells)}))
     return records

@@ -198,12 +198,21 @@ def _check_layer(n: int, m: int, e, ordered: bool = False) -> None:
         raise ValueError(f"order {m}: vertex id out of range")
     if ordered:
         return
-    if np.any(np.diff(e, axis=1) <= 0):
+    if not _rows_increase(e).all():
         raise ValueError(f"order {m}: rows must be strictly increasing")
     if not _rows_ascend(e).all():
         if np.any(np.all(e[1:] == e[:-1], axis=1)):
             raise ValueError(f"order {m}: duplicate edges")
         raise ValueError(f"order {m}: rows must be in lexicographic order")
+
+
+def _rows_increase(e: np.ndarray) -> np.ndarray:
+    """For each row, whether its ids strictly increase; column by column,
+    as np.diff along short rows is slow."""
+    up = e[:, 1] > e[:, 0]
+    for c in range(2, e.shape[1]):
+        up &= e[:, c] > e[:, c - 1]
+    return up
 
 
 def _rows_ascend(e: np.ndarray) -> np.ndarray:
@@ -255,14 +264,20 @@ def _canonical_edge_array(rows: np.ndarray, m: int) -> np.ndarray:
 
 
 def make_hypergraph(n: int, edges: dict) -> Hypergraph:
-    """Build a validated hypergraph from per-order edge lists (any row order)."""
-    canon = {}
+    """Build a validated hypergraph from per-order edge lists (any row order).
+
+    A layer that is int64 and already canonical is used as given, without a
+    copy, and only the range of its ids is checked."""
+    canon, ordered = {}, {}
     for m, e in edges.items():
         m, e = int(m), np.asarray(e)
         _check_shape(m, e)
-        canon[m] = _canonical_edge_array(e.reshape(-1, m), m)
+        e = e.reshape(-1, m)
+        ordered[m] = e.dtype == np.int64 and _rows_increase(e).all() and _rows_ascend(e).all()
+        canon[m] = e if ordered[m] else _canonical_edge_array(e, m)
     h = Hypergraph(n=int(n), edges=canon)
-    h.validate()
+    for m, e in canon.items():
+        _check_layer(h.n, m, e, ordered[m])
     return h
 
 
@@ -639,21 +654,23 @@ def write_hypergraph(h: Hypergraph, path) -> None:
             _write_lines(fh, e, order=m)
 
 
-def _line_blocks(fh):
-    """The rest of a text file as blocks of whole lines, each about
-    READ_BLOCK_CHARS long and ending in a newline."""
+def _token_blocks(fh, line_no: int):
+    """The rest of a text file, whose next line is line ``line_no``, in
+    blocks of whole lines about READ_BLOCK_CHARS long: for each block, the
+    number of its first line and its tokens."""
     pending = []
     while chunk := fh.read(READ_BLOCK_CHARS):
         cut = chunk.rfind("\n") + 1
-        if cut == 0:
-            pending.append(chunk)
-            continue
-        pending.append(chunk[:cut])
-        yield "".join(pending)
-        pending = [chunk[cut:]]
+        if cut:
+            pending.append(chunk[:cut])
+            tok = _tokenize("".join(pending))
+            yield line_no, tok
+            line_no += len(tok.counts)
+            pending, chunk = [], chunk[cut:]
+        pending.append(chunk)
     tail = "".join(pending)
     if tail:
-        yield tail + "\n"
+        yield line_no, _tokenize(tail + "\n")
 
 
 # Byte classes: the value of each ASCII digit, OTHER for a byte that is
@@ -720,7 +737,7 @@ def _repeated_ids(rows: np.ndarray) -> np.ndarray:
 
 def read_hypergraph(path) -> Hypergraph:
     """Parse and validate the hypergraph text format."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         header = fh.readline().strip()
         fields = dict(tok.split("=", 1) for tok in header.split() if "=" in tok)
         try:
@@ -731,37 +748,23 @@ def read_hypergraph(path) -> Hypergraph:
                              f"got {header!r}") from None
         if n < 1 or min(orders, default=2) < 2:
             raise ValueError(f"{path}: line 1: need n >= 1 and orders >= 2, got {header!r}")
-        parts = {m: [] for m in orders}
-        increasing = dict.fromkeys(parts, True)  # whether every row's ids increase
-        line_no = 2
-        for block in _line_blocks(fh):
-            tok = _tokenize(block)
+        parts = {m: [np.empty((0, m), dtype=np.int64)] for m in orders}
+        for line_no, tok in _token_blocks(fh, 2):
             lines = np.flatnonzero(tok.counts)
             m = tok.values[tok.first[lines]]
             bad = tok.bad[lines]
-            of_order = {order: m == order for order in parts}
-            undeclared = np.ones(len(lines), dtype=bool)
-            for mask in of_order.values():
-                undeclared &= ~mask
+            undeclared = ~np.isin(m, list(parts))
             wrong_length = tok.counts[lines] != m + 1
             wellformed = ~(bad | undeclared | wrong_length)
-            ids = {}
             repeated = np.full(len(lines), -1, dtype=np.int64)
-            for order, mask in of_order.items():
-                sel = np.flatnonzero(mask & wellformed)
+            for order in parts:
+                sel = np.flatnonzero((m == order) & wellformed)
                 if len(sel):
                     rows = tok.values[tok.first[lines[sel]][:, None] + np.arange(1, order + 1)]
-                    # rows whose ids do not increase; columnwise, as np.any
-                    # along short rows is slow
-                    loose = rows[:, 1] <= rows[:, 0]
-                    for c in range(2, order):
-                        loose |= rows[:, c] <= rows[:, c - 1]
-                    loose = np.flatnonzero(loose)
-                    if len(loose):
-                        increasing[order] = False
-                        repeated[sel[loose]] = _repeated_ids(rows[loose])
+                    loose = np.flatnonzero(~_rows_increase(rows))
+                    repeated[sel[loose]] = _repeated_ids(rows[loose])
                     rows -= 1
-                    ids[order] = rows
+                    parts[order].append(rows)
             errors = np.flatnonzero(~wellformed | (repeated >= 0))
             if len(errors):
                 i = errors[0]
@@ -775,20 +778,10 @@ def read_hypergraph(path) -> Hypergraph:
                     raise ValueError(f"{where}: expected {m[i]} vertex ids")
                 raise ValueError(f"{where}: vertex id {repeated[i]} repeated, "
                                  f"got {tok.line(lines[i])!r}")
-            for order, rows in ids.items():
-                parts[order].append(rows)
-            line_no += len(tok.counts)
-    edges = {}
-    for m, rows in parts.items():
-        e = np.concatenate(rows) if rows else np.empty((0, m), dtype=np.int64)
-        # rows that come back canonical are checked for their range alone
-        ordered = increasing[m] and _rows_ascend(e).all()
-        edges[m] = e if ordered else _canonical_edge_array(e, m)
-        try:
-            _check_layer(n, m, edges[m], ordered=ordered)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    return Hypergraph(n=n, edges=edges)
+    try:
+        return make_hypergraph(n, {m: np.concatenate(rows) for m, rows in parts.items()})
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_membership(labels, path) -> None:
@@ -803,17 +796,14 @@ def write_membership(labels, path) -> None:
 def read_membership(path) -> np.ndarray:
     """Parse one 1-based community label per line; blank lines are skipped."""
     labels = []
-    line_no = 1
-    with open(path) as fh:
-        for block in _line_blocks(fh):
-            tok = _tokenize(block)
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for line_no, tok in _token_blocks(fh, 1):
             errors = np.flatnonzero(tok.bad | (tok.counts > 1))
             if len(errors):
                 i = errors[0]
                 raise ValueError(f"{path}: line {line_no + i}: label must be an integer, "
                                  f"got {tok.line(i)!r}")
             labels.append(tok.values - 1)
-            line_no += len(tok.counts)
     labels = np.concatenate(labels) if labels else np.empty(0, dtype=np.int64)
     if labels.size and labels.min() < 0:
         raise ValueError(f"{path}: labels must be positive (1-based) in files")

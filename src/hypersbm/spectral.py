@@ -70,6 +70,8 @@ def rank_k_approx(a, k: int, tol: float = 1e-8) -> LowRankApprox:
             f"eigensolver did not converge within {MAXITER} iterations "
             f"({len(exc.eigenvalues)}/{k} eigenpairs found)"
         ) from exc
+    except spla.ArpackError as exc:  # e.g. a zero matrix maps the start vector to zero
+        raise ConvergenceError(f"eigensolver failed: {exc}") from exc
     order = np.argsort(vals)[::-1]
     return LowRankApprox(values=vals[order], vectors=vecs[:, order])
 

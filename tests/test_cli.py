@@ -351,6 +351,17 @@ def test_eigensolver_failure_is_one_line_and_exit_one(config_path, tmp_path, cap
                                            "within 5000 iterations (0/2 eigenpairs found)\n")
 
 
+def test_recover_on_a_star_is_one_line_and_exit_one(tmp_path, capsys):
+    # trimming drops the centre and the leaves share no edge, so the
+    # eigensolve meets a zero matrix
+    path = tmp_path / "star.txt"
+    path.write_text("n=300 orders=2\n" + "".join(f"2 1 {v}\n" for v in range(2, 301)))
+    assert main(["recover", "--mode", "agnostic", "--input", str(path), "--k", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("hypersbm: error: eigensolver failed: ")
+    assert err.count("\n") == 1 and out == ""
+
+
 def test_import_threshold_and_sample_load_no_scipy(config_path, tmp_path):
     h_path = str(tmp_path / "h.txt")
     script = (

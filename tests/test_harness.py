@@ -338,6 +338,20 @@ def test_phase_sweep_starts_no_more_processes_than_jobs(monkeypatch):
     assert [strip_wall(r) for r in records] == [strip_wall(r) for r in seq]
 
 
+def test_an_arpack_error_is_a_recorded_trial_error(monkeypatch):
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    real = spla.eigsh
+    # an eigensolve of a zero matrix stops with ARPACK error -9
+    monkeypatch.setattr(spla, "eigsh", lambda a, **kw: real(sp.csr_matrix(a.shape), **kw))
+    monkeypatch.setattr(hs.spectral, "DENSE_CUTOFF", 10)
+    records, _ = hs.phase_sweep(hs.parse_config(BASE_CONFIG))
+    assert len(records) == 3
+    assert all(r.error.startswith("ConvergenceError: eigensolver failed: ARPACK error -9")
+               for r in records)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_failed_threshold_gives_every_trial_the_run_trial_error(monkeypatch, workers):
     real = harness.chernoff_hellinger
@@ -547,6 +561,15 @@ def test_csv_float_format(tmp_path):
     hs.emit_csv([rec], path)
     line = path.read_text().splitlines()[1]
     assert line == "0,10,1,1.23456789,achievable,,0.5,2,1.5"
+
+
+@pytest.mark.parametrize("row", ["0,10,1,1.5", "0,10,1,1.5,achievable,,0.5,2,1.5,9"])
+def test_csv_names_a_row_with_the_wrong_cell_count(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(CSV_COLUMNS) + f"\n{row}\n0,10,1,,,,,,\n")
+    message = f"{path}: line 2: expected 9 cells, got {row.count(',') + 1}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        hs.parse_csv(path)
 
 
 def test_csv_rejects_foreign_header(tmp_path):

@@ -790,6 +790,22 @@ def test_membership_file_rejects_what_is_not_one_number(tmp_path, label):
         hs.read_membership(path)
 
 
+def test_hypergraph_file_names_a_byte_that_is_not_utf8_and_its_line(tmp_path):
+    path = tmp_path / "h.txt"
+    path.write_bytes(b"n=4 orders=2\n2 1 2\n2 3 \xff4\n")
+    message = f"{path}: line 3: order and vertex ids must be integers, got '2 3 \ufffd4'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        hs.read_hypergraph(path)
+
+
+def test_membership_file_names_a_byte_that_is_not_utf8_and_its_line(tmp_path):
+    path = tmp_path / "z.txt"
+    path.write_bytes(b"1\n2\n\xff\n")
+    message = f"{path}: line 3: label must be an integer, got '\ufffd'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        hs.read_membership(path)
+
+
 def test_membership_file_roundtrip(tmp_path):
     z = np.array([0, 2, 1, 1])
     path = tmp_path / "z.txt"
@@ -919,6 +935,25 @@ def test_a_negative_label_is_an_error_before_the_file_opens(tmp_path):
     with pytest.raises(ValueError, match=r"^labels must lie in 0\.\.2\*\*63-2, got -2$"):
         hs.write_membership([0, -2, 1], path)
     assert not path.exists()
+
+
+def test_make_hypergraph_keeps_a_canonical_int64_layer_as_given(monkeypatch):
+    def sort_again(rows, m):
+        raise AssertionError("a canonical layer was sorted again")
+
+    monkeypatch.setattr(model, "_canonical_edge_array", sort_again)
+    e = np.array([[0, 1, 3], [0, 2, 3], [1, 2, 3]], dtype=np.int64)
+    h = make_hypergraph(4, {3: e})
+    assert h.edges[3].dtype == np.int64 and np.array_equal(h.edges[3], e)
+    assert np.shares_memory(h.edges[3], e)
+    with pytest.raises(ValueError, match="^order 3: vertex id out of range$"):
+        make_hypergraph(3, {3: e})
+
+
+def test_make_hypergraph_gives_int64_for_a_canonical_int32_layer():
+    e = np.array([[0, 1], [0, 2], [1, 2]], dtype=np.int32)
+    h = make_hypergraph(3, {2: e})
+    assert h.edges[2].dtype == np.int64 and h.edges[2].tolist() == e.tolist()
 
 
 def test_hypergraph_validation_rejects_bad_edges():

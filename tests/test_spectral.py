@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 import hypersbm as hs
 from hypersbm import spectral
-from hypersbm.errors import DegenerateDegreeError, InsufficientSampleError
+from hypersbm.errors import ConvergenceError, DegenerateDegreeError, InsufficientSampleError
 from hypersbm.model import adjacency_matrix, make_hypergraph
 from oracles import (ball_peeling_rowwise, ball_table_rowwise, expected_adjacency,
                      reconstruct)
@@ -160,6 +160,12 @@ def test_rank_k_sparse_path_is_deterministic(tol):
     first, second = hs.rank_k_approx(a, 4, tol=tol), hs.rank_k_approx(a, 4, tol=tol)
     assert np.array_equal(first.values, second.values)
     assert np.array_equal(first.vectors, second.vectors)
+
+
+def test_rank_k_turns_an_arpack_error_into_a_convergence_error():
+    # a zero matrix maps the start vector to zero: ARPACK error -9
+    with pytest.raises(ConvergenceError, match="^eigensolver failed: ARPACK error -9"):
+        hs.rank_k_approx(sp.csr_matrix((300, 300)), 2)
 
 
 def test_rank_k_validates_k():
