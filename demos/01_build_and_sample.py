@@ -41,7 +41,7 @@ print(f"model's maximum expected degree: {rho:.1f}")
 
 # the adjacency matrix counts, for every vertex pair, the edges containing both
 a = hs.adjacency_matrix(h)
-print(f"adjacency: {a.nnz} nonzero entries, max pair count {int(a.max())}")
+print(f"adjacency: {a.nnz} nonzero entries, max pair count {int(a.upper.max())}")
 
 # type counts split each vertex's edges by the type of the other members
 type_counts = hs.edge_type_count_matrix(h, truth, 2)

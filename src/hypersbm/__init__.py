@@ -33,6 +33,7 @@ from .harness import (
 )
 from .model import (
     Hypergraph,
+    PairCounts,
     ProbabilityTensors,
     adjacency_matrix,
     make_hypergraph,

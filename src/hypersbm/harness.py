@@ -254,8 +254,16 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def read_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    """Parse a config file (see ``parse_config``), decoded strictly as
+    UTF-8; a byte that is not UTF-8 is a ValueError naming its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+        raise ValueError(f"{path}: line {line_no}: not valid UTF-8") from None
+    return parse_config(text)
 
 
 def grid_points(config: ExperimentConfig) -> list:
@@ -483,13 +491,14 @@ def emit_csv(records, path) -> None:
 
 def parse_csv(path) -> list:
     """Read back an emitted trial table (the in-file error field is not
-    serialized, so parsed records carry error=None).  A row with the wrong
-    number of cells is a ValueError naming its line."""
+    serialized, so parsed records carry error=None).  A foreign header, a
+    row with the wrong number of cells and a cell that does not parse are
+    ValueErrors naming the file and line."""
     records = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != ",".join(CSV_COLUMNS):
-            raise ValueError(f"unexpected header {header!r}")
+            raise ValueError(f"{path}: line 1: unexpected header {header!r}")
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
@@ -497,6 +506,11 @@ def parse_csv(path) -> list:
             if len(cells) != len(CSV_FIELDS):
                 raise ValueError(f"{path}: line {line_no}: expected {len(CSV_FIELDS)} "
                                  f"cells, got {len(cells)}")
-            records.append(TrialRecord(**{column: parse(cell) for (column, parse), cell
-                                          in zip(CSV_FIELDS.items(), cells)}))
+            fields = {}
+            for (column, parse), cell in zip(CSV_FIELDS.items(), cells):
+                try:
+                    fields[column] = parse(cell)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {line_no}: column {column!r}: {exc}") from None
+            records.append(TrialRecord(**fields))
     return records

@@ -416,16 +416,68 @@ def sample_hypergraph(n: int, labels, tensors: ProbabilityTensors, seed=None) ->
 # Matrix and degree summaries
 # ---------------------------------------------------------------------------
 
-def adjacency_matrix(h: Hypergraph) -> "sp.csr_matrix":
-    """Symmetric pair-incidence counts as a float64 CSR matrix: entry (i, j)
-    is the number of edges containing both i and j; the diagonal is zero.
+@dataclass(frozen=True)
+class PairCounts:
+    """Symmetric pair counts A held as ``upper``, their strict upper
+    triangle: a canonical float64 CSR matrix with int32 indices, half the
+    memory of A.  ``shape``, ``dtype`` and ``matvec`` are what ARPACK's
+    ``eigsh`` asks of a matrix; ``nnz`` counts the stored entries of A.
 
-    The upper-triangle pairs are sorted as one int64 key each and counted
-    in int32; only the finished counts become float64, and the result shares
-    their index arrays.  The build peaks at about 1.4 times the memory of its
-    result.  A build of at least 2^17 pairs hands the C heap's free pages
-    back to the operating system before it allocates its keys, before and
-    after the sum and after the float64 conversion, so its peak resident
+    ``matvec`` adds in the order ``A @ x`` adds on the full CSR matrix, so
+    each product, and every eigensolve on it, is the same bit for bit.  It
+    calls the two kernels of ``scipy.sparse._sparsetools`` that scipy's own
+    ``@`` runs: ``csc_matvec`` reads ``upper`` as the CSC form of its
+    transpose and adds each row's terms left of the diagonal, in column
+    order, and ``csr_matvec`` then carries each row's running sum on with
+    its terms right of the diagonal.  These kernels are private to scipy;
+    ``test_pair_counts_matvec_equals_the_full_matrix`` guards them.
+    """
+
+    upper: "sp.csr_matrix"
+
+    dtype = np.dtype(np.float64)
+
+    @property
+    def shape(self) -> tuple:
+        return self.upper.shape
+
+    @property
+    def nnz(self) -> int:
+        return 2 * self.upper.nnz
+
+    def matvec(self, x) -> np.ndarray:
+        from scipy.sparse import _sparsetools
+
+        u = self.upper
+        n = u.shape[0]
+        x = np.asarray(x).reshape(-1)
+        if len(x) != n:  # the kernels do not check: a short x is read past its end
+            raise ValueError(f"matvec needs a vector of length {n}, got {len(x)}")
+        y = np.zeros(n)
+        _sparsetools.csc_matvec(n, n, u.indptr, u.indices, u.data, x, y)
+        _sparsetools.csr_matvec(n, n, u.indptr, u.indices, u.data, x, y)
+        return y
+
+    def tocsr(self) -> "sp.csr_matrix":
+        """A itself as a float64 CSR matrix."""
+        return (self.upper + self.upper.T).tocsr()
+
+    def toarray(self) -> np.ndarray:
+        dense = self.upper.toarray()
+        dense += dense.T
+        return dense
+
+
+def adjacency_matrix(h: Hypergraph) -> PairCounts:
+    """Symmetric pair-incidence counts: entry (i, j) is the number of edges
+    containing both i and j; the diagonal is zero.  Only the strict upper
+    triangle is held (see ``PairCounts``).
+
+    The pairs are sorted as one int64 key each; the keys give the index
+    arrays and are freed before the counts are formed, so the build peaks
+    at about 1.4 times the memory of its result.  A build of at least 2^17
+    pairs hands the C heap's free pages back to the operating system before
+    it allocates its keys and after it frees them, so its peak resident
     memory does not depend on what earlier work left behind.
     A count is at most the number of edges, which stays below 2^31 for any
     graph whose edge arrays fit in memory, so it cannot wrap.
@@ -434,9 +486,10 @@ def adjacency_matrix(h: Hypergraph) -> "sp.csr_matrix":
     return _pair_counts(h.n, h.edges)
 
 
-def live_adjacency(h: Hypergraph, live) -> "sp.csr_matrix":
-    """``adjacency_matrix(h)[live][:, live]`` for a boolean mask ``live``
-    that holds every vertex of every edge, built without the full matrix.
+def live_adjacency(h: Hypergraph, live) -> PairCounts:
+    """``adjacency_matrix(h)`` restricted to the rows and columns of a
+    boolean mask ``live`` that holds every vertex of every edge, built
+    without the full matrix.
 
     Vertex v becomes ``cumsum(live)[v] - 1``; the map is increasing, so
     relabelled rows stay canonical and the arrays equal those of the slice.
@@ -473,15 +526,14 @@ def _release_free_heap() -> None:
         _MALLOC_TRIM(0)
 
 
-def _pair_counts(n: int, edges: dict, ids=None) -> "sp.csr_matrix":
-    """Float64 CSR pair counts on n vertices of the edge arrays, with each
-    vertex v renamed ``ids[v]`` when ``ids`` is given.
+def _pair_counts(n: int, edges: dict, ids=None) -> PairCounts:
+    """Pair counts on n vertices of the edge arrays, with each vertex v
+    renamed ``ids[v]`` when ``ids`` is given.
 
-    Each pair (u, v) of an edge's members, u from an earlier column than v,
-    becomes one int64 key ``u << 32 | v``.  Sorted, the keys are the row-major
-    order of a canonical CSR matrix: a run of equal keys is one entry and its
-    length the count.  A pair stored as (v, u) lies below the diagonal, and
-    the symmetric sum counts it all the same.
+    Each pair of an edge's members becomes one int64 key ``u << 32 | v``,
+    u the smaller id, so a row given in any order still lands above the
+    diagonal.  Sorted, the keys are the row-major order of a canonical CSR
+    matrix: a run of equal keys is one entry and its length the count.
     """
     import scipy.sparse as sp  # not at module level: sampling and thresholds need no scipy
 
@@ -500,38 +552,31 @@ def _pair_counts(n: int, edges: dict, ids=None) -> "sp.csr_matrix":
             for b in range(a + 1, m):
                 start, end = end, end + len(e)
                 # int64 before the shift: an int32 id shifted by 32 wraps
-                np.left_shift(e[:, a], 32, out=key[start:end], dtype=np.int64)
-                np.bitwise_or(key[start:end], e[:, b], out=key[start:end], dtype=np.int64)
+                np.minimum(e[:, a], e[:, b], out=key[start:end], dtype=np.int64)
+                np.left_shift(key[start:end], 32, out=key[start:end])
+                np.bitwise_or(key[start:end], np.maximum(e[:, a], e[:, b]),
+                              out=key[start:end], dtype=np.int64)
     key.sort()
     # run boundaries, with one more at the end: entry i spans starts[i]:starts[i + 1]
     boundary = np.empty(total + 1, dtype=bool)
     boundary[0] = boundary[-1] = True
     np.not_equal(key[1:], key[:-1], out=boundary[1:-1])
     key = key[boundary[:-1]]
-    starts = np.flatnonzero(boundary)
-    del boundary
-    data = np.empty(len(key), dtype=np.int32)
-    np.subtract(starts[1:], starts[:-1], out=data)
-    del starts
     indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) << 32).astype(np.int32)
     np.bitwise_and(key, 0xFFFFFFFF, out=key)
     indices = key.astype(np.int32)
     del key
-    upper = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    starts = np.flatnonzero(boundary)
+    del boundary
+    counts = np.empty(len(indices), dtype=np.int32)
+    np.subtract(starts[1:], starts[:-1], out=counts)
+    del starts
+    upper = sp.csr_matrix((counts.astype(np.float64), indices, indptr), shape=(n, n))
     upper.has_canonical_format = True
-    del data, indices, indptr
-    if trim:
-        _release_free_heap()
-    counts = upper + upper.T
-    del upper
-    if trim:
-        _release_free_heap()
-    adjacency = sp.csr_matrix((counts.data.astype(np.float64), counts.indices, counts.indptr),
-                              shape=(n, n))
     del counts
     if trim:
         _release_free_heap()
-    return adjacency
+    return PairCounts(upper)
 
 
 def max_expected_degree(tensors: ProbabilityTensors, alpha, n: int) -> float:

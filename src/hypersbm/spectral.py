@@ -7,16 +7,12 @@ greedily peeling the largest balls of a fixed radius around sampled centers.
 """
 
 import math
-from typing import TYPE_CHECKING
 
 import numpy as np
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DegenerateDegreeError, InsufficientSampleError
-from .model import ProbabilityTensors
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+from .model import PairCounts, ProbabilityTensors
 
 
 @dataclass(frozen=True)
@@ -45,9 +41,10 @@ MAXITER = 5000
 def rank_k_approx(a, k: int, tol: float = 1e-8) -> LowRankApprox:
     """The k algebraically largest eigenpairs of a symmetric matrix.
 
-    Sparse inputs go through ARPACK's implicitly restarted Lanczos from a
-    fixed seeded start vector, so repeated calls agree bit for bit; small or
-    nearly full-rank problems fall back to a dense solve.
+    Sparse inputs and ``PairCounts`` go through ARPACK's implicitly
+    restarted Lanczos from a fixed seeded start vector, so repeated calls
+    agree bit for bit; small or nearly full-rank problems fall back to a
+    dense solve.
     """
     import scipy.sparse as sp  # not at module level: sampling and thresholds need no scipy
     import scipy.sparse.linalg as spla
@@ -55,13 +52,19 @@ def rank_k_approx(a, k: int, tol: float = 1e-8) -> LowRankApprox:
     n = a.shape[0]
     if k < 1 or k > n:
         raise ValueError(f"rank k={k} must be in [1, {n}]")
+    sparse = sp.issparse(a) or isinstance(a, PairCounts)
     dense_needed = n <= DENSE_CUTOFF or k >= n - 1
     if dense_needed:
-        dense = a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
+        dense = a.toarray() if sparse else np.asarray(a, dtype=float)
         vals, vecs = np.linalg.eigh(dense)
         order = np.argsort(vals)[::-1][:k]
         return LowRankApprox(values=vals[order], vectors=vecs[:, order])
-    mat = a.astype(np.float64, copy=False) if sp.issparse(a) else np.asarray(a, dtype=float)
+    if isinstance(a, PairCounts):
+        mat = a  # eigsh asks only for its shape, dtype and matvec
+    elif sparse:
+        mat = a.astype(np.float64, copy=False)
+    else:
+        mat = np.asarray(a, dtype=float)
     v0 = np.random.default_rng(START_SEED).uniform(-1.0, 1.0, size=n)
     try:
         vals, vecs = spla.eigsh(mat, k=k, which="LA", tol=tol, maxiter=MAXITER, v0=v0)
@@ -109,15 +112,18 @@ def prior_degree_cap(tensors: ProbabilityTensors, n: int) -> float:
     return tensors.max_order * d_max
 
 
-def trim(a, keep) -> "sp.csr_matrix":
-    """Float64 CSR matrix of a sparse matrix without the stored entries in
-    the rows and columns outside the keep set.
+def trim(a, keep):
+    """The matrix without the stored entries in the rows and columns outside
+    the keep set.
 
-    When the keep set is every vertex and ``a`` is already a float64 CSR
-    matrix, nothing is dropped and ``a`` itself is returned; otherwise the
-    result is a new matrix.
+    A ``PairCounts`` gives a ``PairCounts``, any other sparse matrix a
+    float64 CSR matrix.  When the keep set is every vertex and ``a`` is a
+    ``PairCounts`` or a float64 CSR matrix, nothing is dropped and ``a``
+    itself is returned; otherwise the result is a new matrix.
     """
     drop = ~np.asarray(keep, dtype=bool)
+    if isinstance(a, PairCounts):
+        return PairCounts(trim(a.upper, keep)) if drop.any() else a
     if not drop.any() and a.format == "csr" and a.dtype == np.float64:
         return a
     out = a.tocsr().astype(np.float64)

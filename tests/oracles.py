@@ -233,7 +233,7 @@ def live_adjacency_slice(h, live):
     """The adjacency of the vertices in the boolean mask ``live``, sliced
     out of the full matrix."""
     ids = np.flatnonzero(live)
-    return adjacency_matrix(h)[ids][:, ids]
+    return adjacency_matrix(h).tocsr()[ids][:, ids]
 
 
 def write_hypergraph_percent(h, path) -> None:

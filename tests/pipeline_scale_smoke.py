@@ -6,7 +6,7 @@ their results and peak memory.
 Both recovery pipelines must recover the communities exactly (eta 0) and
 the estimate must count k = 2.  Each process samples the graph, runs one
 pipeline and prints its peak resident set size (``ru_maxrss``, which
-includes the sample); a peak above 1024 MB fails.  There is no timing gate;
+includes the sample); a peak above 768 MB fails.  There is no timing gate;
 a time limit around the run catches hangs.  Run from the root of the
 repository:
 
@@ -21,7 +21,7 @@ import time
 import hypersbm as hs
 from sampler_scale_smoke import K, sample
 
-LIMIT_MB = 1024
+LIMIT_MB = 768
 PIPELINES = ("agnostic_partition", "partition_with_prior", "estimate_num_communities")
 
 

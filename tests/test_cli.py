@@ -170,6 +170,16 @@ def test_layer_config_errors_are_one_line_and_exit_two(tmp_path, capsys, extra, 
         assert capsys.readouterr().err == f"hypersbm: error: {message}\n"
 
 
+def test_config_names_a_byte_that_is_not_utf8_and_its_line(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(CONFIG.replace("k = 2\n", "k = 2  # ?\n").encode().replace(b"?", b"\xff"))
+    assert path.read_bytes().splitlines()[2] == b"k = 2  # \xff"
+    out = str(tmp_path / "out")
+    for argv in (["threshold"], ["sample", "--out", out], ["phase", "--out", out]):
+        assert main(argv + ["--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"hypersbm: error: {path}: line 3: not valid UTF-8\n"
+
+
 def test_phase_exits_one_when_trials_fail(tmp_path, capsys):
     # rates this low leave a mean degree below 1, so every trial fails
     path = tmp_path / "flat.cfg"

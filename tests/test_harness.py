@@ -572,6 +572,22 @@ def test_csv_names_a_row_with_the_wrong_cell_count(tmp_path, row):
         hs.parse_csv(path)
 
 
+def test_csv_names_a_cell_that_does_not_parse(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n0,x,1,,,,,,\n")
+    message = f"{path}: line 2: column 'n': invalid literal for int() with base 10: 'x'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        hs.parse_csv(path)
+
+
+def test_csv_names_a_foreign_header_with_its_file(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("foo,bar\n")
+    message = f"{path}: line 1: unexpected header 'foo,bar'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        hs.parse_csv(path)
+
+
 def test_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n")

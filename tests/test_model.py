@@ -514,7 +514,7 @@ def _assert_float_canonical_csr(a):
 def test_adjacency_matches_bruteforce_on_random_instances():
     for seed in range(40):
         h, _, _ = random_instance(seed)
-        adj = hs.adjacency_matrix(h)
+        adj = hs.adjacency_matrix(h).tocsr()
         a = adj.toarray()
         brute = brute_force_adjacency(h)
         assert np.array_equal(a, brute)
@@ -530,7 +530,7 @@ def test_adjacency_matches_bruteforce_on_random_instances():
 
         # rows in any order, vertices in any order within a row
         shuffled = hs.adjacency_matrix(Hypergraph(h.n, {
-            m: rng.permutation(e)[:, rng.permutation(m)] for m, e in h.edges.items()}))
+            m: rng.permutation(e)[:, rng.permutation(m)] for m, e in h.edges.items()})).tocsr()
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(shuffled, name), getattr(adj, name)), name
 
@@ -539,6 +539,46 @@ def test_adjacency_matches_bruteforce_on_random_instances():
         relabelled = hs.adjacency_matrix(
             make_hypergraph(h.n, {m: pi[e] for m, e in h.edges.items()})).toarray()
         assert np.array_equal(relabelled[np.ix_(pi, pi)], a)
+
+
+def test_pair_counts_matvec_equals_the_full_matrix():
+    # the half-storage product adds in the full CSR matrix's order, through
+    # scipy's private csc_matvec and csr_matvec kernels, so it is exact
+    for seed in range(40):
+        h, _, _ = random_instance(seed)
+        counts = hs.adjacency_matrix(h)
+        assert isinstance(counts, hs.PairCounts)
+        assert counts.shape == (h.n, h.n) and counts.dtype == np.float64
+        rng = np.random.default_rng(seed)
+        trimmed = hs.trim(counts, rng.random(h.n) < 0.7)
+        for a in (counts, trimmed):
+            full = a.tocsr()
+            assert a.nnz == full.nnz
+            assert np.array_equal(a.toarray(), full.toarray())
+            for _ in range(3):
+                x = rng.standard_normal(h.n)
+                assert np.array_equal(a.matvec(x), full @ x)
+    empty = hs.adjacency_matrix(Hypergraph(5, {2: np.empty((0, 2), dtype=np.int64)}))
+    assert empty.nnz == 0 and np.array_equal(empty.matvec(np.ones(5)), np.zeros(5))
+    with pytest.raises(ValueError, match="^matvec needs a vector of length 5, got 4$"):
+        empty.matvec(np.ones(4))
+
+
+def _entries_above_diagonal(a):
+    """Stored entries of a CSR matrix strictly above its diagonal."""
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    return int(np.count_nonzero(a.indices > rows))
+
+
+def test_pair_counts_hold_the_upper_triangle_in_half_the_memory():
+    h = _two_level_sample(2000, 2, {2: 12.0, 3: 14.0, 4: 10.0}, {2: 2.0, 3: 3.0, 4: 2.0}, 5, 6)
+    counts = hs.adjacency_matrix(h)
+    upper, full = counts.upper, counts.tocsr()
+    assert upper.format == "csr" and upper.dtype == np.float64 and upper.has_canonical_format
+    assert (upper.indptr.dtype, upper.indices.dtype) == (np.int32, np.int32)
+    assert _entries_above_diagonal(upper) == upper.nnz == full.nnz // 2
+    held = upper.indptr.nbytes + upper.indices.nbytes + upper.data.nbytes
+    assert held <= 0.51 * (full.indptr.nbytes + full.indices.nbytes + full.data.nbytes)
 
 
 def _csr_digest(a):
@@ -554,7 +594,7 @@ def test_adjacency_matches_golden_digest():
     # pinned from the int64/float64 build; sums of ones are exact, so any
     # build must give the same arrays and dtypes
     h = _two_level_sample(2000, 2, {2: 12.0, 3: 14.0, 4: 10.0}, {2: 2.0, 3: 3.0, 4: 2.0}, 5, 6)
-    a = hs.adjacency_matrix(h)
+    a = hs.adjacency_matrix(h).tocsr()
     assert a.nnz == 393900
     assert (a.indptr.dtype, a.indices.dtype, a.data.dtype) == (np.int32, np.int32, np.float64)
     assert _csr_digest(a) == "910b11468fe1eb99a6bc656fcd4868f800e0e255a17f076880130f7b305471cf"
@@ -589,10 +629,10 @@ def test_adjacency_equals_the_coo_build(dtype):
     for n in (5, 40, 65535) * 8:
         edges = _unordered_edges(rng, n, dtype)
         h = Hypergraph(n, edges)
-        _assert_same_csr(hs.adjacency_matrix(h), adjacency_matrix_coo(n, edges))
+        _assert_same_csr(hs.adjacency_matrix(h).tocsr(), adjacency_matrix_coo(n, edges))
         live = h.degrees() > 0
         ids = np.cumsum(live) - 1
-        _assert_same_csr(model.live_adjacency(h, live),
+        _assert_same_csr(model.live_adjacency(h, live).tocsr(),
                          adjacency_matrix_coo(int(ids[-1]) + 1, edges, ids))
 
 
@@ -605,9 +645,9 @@ def test_adjacency_build_peaks_below_one_and_a_half_times_its_result():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    result = a.indptr.nbytes + a.indices.nbytes + a.data.nbytes
-    # the build peaks at about 1.34 times its result; a key array kept alive
-    # past the sum reads 1.67
+    result = a.upper.indptr.nbytes + a.upper.indices.nbytes + a.upper.data.nbytes
+    # the build peaks at about 1.41 times the upper triangle it holds; with
+    # the counts formed before the keys are freed it reads 1.66
     assert peak <= 1.5 * result, (peak, result)
 
 
@@ -647,7 +687,7 @@ def test_adjacency_build_trims_the_heap_only_when_large(monkeypatch):
     for h in (large, first):
         calls.clear()
         hs.adjacency_matrix(h)
-        assert calls == [0, 0, 0, 0]
+        assert calls == [0, 0]
 
 
 def test_live_adjacency_equals_the_slice():
@@ -658,7 +698,7 @@ def test_live_adjacency_equals_the_slice():
     h.validate()
     live = h.degrees() > 0
     assert (~live).sum() >= 1001
-    got = model.live_adjacency(h, live)
+    got = model.live_adjacency(h, live).tocsr()
     _assert_same_csr(got, live_adjacency_slice(h, live))
     assert got.has_canonical_format
 

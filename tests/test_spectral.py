@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 import hypersbm as hs
-from hypersbm import spectral
+from hypersbm import pipeline, spectral
 from hypersbm.errors import ConvergenceError, DegenerateDegreeError, InsufficientSampleError
 from hypersbm.model import adjacency_matrix, make_hypergraph
 from oracles import (ball_peeling_rowwise, ball_table_rowwise, expected_adjacency,
@@ -59,7 +59,7 @@ def test_trim_zeroes_rows_and_columns():
 
 def test_trim_casts_integer_counts_to_float_silently():
     h, _ = two_clique_instance()
-    a = adjacency_matrix(h).astype(np.int64)
+    a = adjacency_matrix(h).tocsr().astype(np.int64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = hs.trim(a, np.array([True] * 6 + [False] * 2))
@@ -68,7 +68,7 @@ def test_trim_casts_integer_counts_to_float_silently():
 
 def test_trim_idempotent():
     h, _ = two_clique_instance()
-    a = adjacency_matrix(h)
+    a = adjacency_matrix(h).tocsr()
     keep = np.array([True] * 6 + [False] * 2)
     once = hs.trim(a, keep)
     twice = hs.trim(once, keep)
@@ -77,7 +77,7 @@ def test_trim_idempotent():
 
 def test_trim_returns_its_input_when_nothing_is_dropped():
     h, _ = two_clique_instance()
-    a = adjacency_matrix(h)
+    a = adjacency_matrix(h).tocsr()
     assert hs.trim(a, np.ones(8, dtype=bool)) is a
     # anything else is a new float64 canonical CSR matrix
     keep = np.array([True] * 6 + [False] * 2)
@@ -160,6 +160,35 @@ def test_rank_k_sparse_path_is_deterministic(tol):
     first, second = hs.rank_k_approx(a, 4, tol=tol), hs.rank_k_approx(a, 4, tol=tol)
     assert np.array_equal(first.values, second.values)
     assert np.array_equal(first.vectors, second.vectors)
+
+
+def _two_block_sample(n, within, cross, seed):
+    tensors = hs.ProbabilityTensors.from_unscaled(
+        2, hs.two_level_coefficients(2, {2: within}, {2: cross}), n)
+    z = hs.sample_membership(n, [0.5, 0.5], seed=seed)
+    return hs.sample_hypergraph(n, z, tensors, seed=seed + 1)
+
+
+@pytest.mark.parametrize("tol", [1e-8, pipeline.COUNT_TOL])
+def test_rank_k_on_pair_counts_equals_the_solve_on_the_full_matrix(tol):
+    a = adjacency_matrix(_two_block_sample(1000, 8.0, 2.0, seed=3))
+    assert isinstance(a, hs.PairCounts) and a.shape[0] > spectral.DENSE_CUTOFF
+    half, full = hs.rank_k_approx(a, 4, tol=tol), hs.rank_k_approx(a.tocsr(), 4, tol=tol)
+    assert np.array_equal(half.values, full.values)
+    assert np.array_equal(half.vectors, full.vectors)
+
+
+def test_spectral_init_on_trimmed_pair_counts_equals_the_full_matrix():
+    # mean degree 3: the mean-degree rule drops the ~n e^-3 heaviest vertices
+    h = _two_block_sample(2000, 0.6, 0.2, seed=5)
+    a, degrees = adjacency_matrix(h), h.degrees()
+    keep = hs.keep_by_mean_degree(degrees)
+    assert (~keep).sum() >= 50
+    half = hs.trim(a, keep)
+    assert isinstance(half, hs.PairCounts)
+    radius = hs.default_radius(degrees)
+    labels = hs.spectral_init(half, keep, 2, radius, seed=9)
+    assert np.array_equal(labels, hs.spectral_init(hs.trim(a.tocsr(), keep), keep, 2, radius, seed=9))
 
 
 def test_rank_k_turns_an_arpack_error_into_a_convergence_error():
